@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import glob
+import math
 import os
 import sys
 import time
@@ -185,7 +186,7 @@ def _fit_one(path: str, mu: float, layout: CsvLayout, config: CliConfig) -> _Fil
         if config.emit_plot_data:
             write_plot_data(out_dir / stem, profile, fitted)
         return _FileResult(path, report=report)
-    except (ProfileFitError, OSError, ValueError) as exc:
+    except (ProfileFitError, OSError, ValueError, csv.Error) as exc:
         return _FileResult(path, error=f"{type(exc).__name__}: {exc}")
 
 
@@ -377,10 +378,12 @@ def parse_args(argv: list[str] | None = None) -> CliConfig:
         raise _UsageError("--preamble-lines must be >= 0")
     if len(ns.delimiter) != 1:
         raise _UsageError("--delimiter must be a single character")
-    if ns.residual_tol <= 0:
-        raise _UsageError("--residual-tol must be positive")
-    if ns.large_exponent <= 0:
-        raise _UsageError("--large-exponent must be positive")
+    for flag, value in (
+        ("--residual-tol", ns.residual_tol),
+        ("--large-exponent", ns.large_exponent),
+    ):
+        if not (math.isfinite(value) and value > 0):
+            raise _UsageError(f"{flag} must be positive and finite, got {value!r}")
 
     return CliConfig(
         inputs=list(ns.inputs),

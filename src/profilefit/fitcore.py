@@ -16,6 +16,7 @@ to a large fallback exponent.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,11 +107,11 @@ class BracketNotFoundError(ProfileFitError):
     def __init__(self, mu: float, limit: float, last_mean: float):
         self.mu = mu
         self.limit = limit
-        self.last_mean = last_mean
+        self.last_mean = last_mean  # S(limit), the mean at the cap
         super().__init__(
             f"no sign change up to exponent {limit:g}: target {mu:g} "
-            f"vs mean {last_mean:g} at the cap; the target may only be "
-            f"reachable with a larger exponent cap"
+            f"vs mean {last_mean:g} at exponent {limit:g}; the target may "
+            f"only be reachable with a larger exponent cap"
         )
 
 
@@ -177,14 +178,12 @@ class FitOptions:
     def __post_init__(self):
         if not 0.0 < self.target_mu < 1.0:
             raise TargetOutOfRangeError(self.target_mu)
-        if self.residual_tol <= 0.0:
-            raise ValueError("residual_tol must be positive")
-        if self.interval_tol <= 0.0:
-            raise ValueError("interval_tol must be positive")
+        for name in ("residual_tol", "interval_tol", "large_exponent"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.max_bisect_iter < 1:
             raise ValueError("max_bisect_iter must be a positive integer")
-        if self.large_exponent <= 0.0:
-            raise ValueError("large_exponent must be positive")
 
 
 class Feasibility(enum.Enum):
@@ -300,26 +299,27 @@ def find_search_interval(
 
     Returns consecutive sequence points (a, b) with a sign change of
     S(x) - mu between them, or a degenerate (v, v) when a sequence point
-    hits the target exactly. Probing stops once the next point would
-    exceed ``opts.large_exponent``; if no sign change occurred by then,
-    :class:`BracketNotFoundError` is raised.
+    hits the target exactly. The sequence is cut at ``opts.large_exponent``,
+    which is probed itself as the last point; if no sign change occurred
+    by then, :class:`BracketNotFoundError` is raised.
     """
     if opts is None:
         opts = FitOptions()
     fa = mean_power(p, 0.0) - mu
     if fa == 0.0:
         return (0.0, 0.0)
-    a = 0.0
-    b = 1.0
-    while b <= opts.large_exponent:
+    cap = opts.large_exponent
+    a, b = 0.0, min(1.0, cap)
+    while True:
         fb = mean_power(p, b) - mu
         if fb == 0.0:
             return (b, b)
         if fa * fb < 0.0:
             return (a, b)
+        if b == cap:
+            raise BracketNotFoundError(mu, cap, last_mean=fb + mu)
         a, fa = b, fb
-        b *= 2.0
-    raise BracketNotFoundError(mu, opts.large_exponent, last_mean=fa + mu)
+        b = min(2.0 * b, cap)
 
 
 def bisect_root(

@@ -56,6 +56,12 @@ class LengthMismatchError(ProfileFitError):
         super().__init__(message)
 
 
+# Fast-path block sizes: big enough that per-block overhead vanishes, small
+# enough that memory stays flat whatever the file length.
+_READ_BLOCK_CHARS = 16384
+_WRITE_BLOCK_ROWS = 512
+
+
 @dataclass(frozen=True)
 class CsvLayout:
     """Shape of an input CSV: preamble to skip, then header, then data.
@@ -108,42 +114,24 @@ def read_profile(
     if layout is None:
         layout = CsvLayout()
     path = Path(path)
+    first_data_line = layout.preamble_lines + 2
     with open(path, encoding="utf-8", newline="") as fh:
         for _ in range(layout.preamble_lines):
             if fh.readline() == "":
                 raise CsvParseError(
                     layout.preamble_lines, "file ends inside the preamble", path
                 )
-        reader = csv.reader(fh, delimiter=layout.delimiter)
-        header = next(reader, None)
-        if header is None:
-            raise CsvParseError(layout.preamble_lines + 1, "missing header row", path)
-        header = [name.strip() for name in header]
-        if layout.value_column not in header:
-            raise MissingColumnError(layout.value_column, path)
-        value_idx = header.index(layout.value_column)
-        time_idx = (
-            header.index(layout.time_column)
-            if layout.time_column and layout.time_column in header
-            else None
-        )
-
-        values: list[float] = []
-        timestamps: list[str] | None = [] if time_idx is not None else None
-        first_data_line = layout.preamble_lines + 2
-        for line_no, row in enumerate(reader, start=first_data_line):
-            if not row:
-                continue
-            needed = value_idx if time_idx is None else max(value_idx, time_idx)
-            if needed >= len(row):
-                raise CsvParseError(line_no, layout.delimiter.join(row), path)
-            cell = row[value_idx].strip()
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise CsvParseError(line_no, cell, path) from None
-            if timestamps is not None:
-                timestamps.append(row[time_idx])
+        # The fast path may give up partway, and the rows are then reread from
+        # the header on, so it runs only where the file can seek back.
+        parsed = None
+        if fh.seekable():
+            start = fh.tell()
+            parsed = _parse_blocks(fh, layout, path)
+            if parsed is None:
+                fh.seek(start)
+        if parsed is None:
+            parsed = _parse_rows(fh, layout, path)
+    values, timestamps = parsed
 
     try:
         profile = validate_profile(np.asarray(values, dtype=np.float64))
@@ -154,6 +142,89 @@ def read_profile(
             exc.index, exc.value, line=exc.index + first_data_line
         ) from None
     return profile, timestamps
+
+
+def _column_indices(
+    header: list[str], layout: CsvLayout, path: Path
+) -> tuple[int, int | None]:
+    header = [name.strip() for name in header]
+    if layout.value_column not in header:
+        raise MissingColumnError(layout.value_column, path)
+    time_idx = (
+        header.index(layout.time_column)
+        if layout.time_column and layout.time_column in header
+        else None
+    )
+    return header.index(layout.value_column), time_idx
+
+
+def _parse_blocks(fh, layout: CsvLayout, path: Path):
+    """Fast path of :func:`read_profile`: split text blocks without csv.
+
+    Reads the header and data in blocks of about ``_READ_BLOCK_CHARS``,
+    each completed to the next newline. Gives up (returns None) on anything
+    that needs csv semantics or that :func:`_parse_rows` would report: a
+    quote, ``\\r`` or NUL, a line longer than csv's field size limit, a short
+    row, or a cell ``float`` rejects. The caller then rereads the data
+    with :func:`_parse_rows`, so parse errors and their line numbers come
+    from one place.
+    """
+    sep = layout.delimiter
+    if sep == "\n" or _needs_csv(sep):
+        return None
+    try:
+        limit = csv.field_size_limit()
+        header = fh.readline()
+        if not header or len(header) > limit or _needs_csv(header):
+            return None
+        value_idx, time_idx = _column_indices(header.rstrip("\n").split(sep), layout, path)
+        needed = value_idx if time_idx is None else max(value_idx, time_idx)
+        values: list[float] = []
+        timestamps: list[str] | None = [] if time_idx is not None else None
+        while block := fh.read(_READ_BLOCK_CHARS):
+            if not block.endswith("\n"):
+                block += fh.readline()
+            if len(block) > limit or _needs_csv(block):
+                return None
+            # csv yields an empty row for a blank line, and read_profile skips it.
+            rows = [line.split(sep) for line in block.split("\n") if line]
+            if any(len(row) <= needed for row in rows):
+                return None
+            values.extend(map(float, [row[value_idx] for row in rows]))
+            if timestamps is not None:
+                timestamps.extend([row[time_idx] for row in rows])
+    except ValueError:  # an unparseable cell, or undecodable bytes
+        return None
+    return values, timestamps
+
+
+def _needs_csv(text: str) -> bool:
+    return '"' in text or "\r" in text or "\0" in text
+
+
+def _parse_rows(fh, layout: CsvLayout, path: Path):
+    """Row-by-row csv parse of the header and data; builds every parse error."""
+    reader = csv.reader(fh, delimiter=layout.delimiter)
+    header = next(reader, None)
+    if header is None:
+        raise CsvParseError(layout.preamble_lines + 1, "missing header row", path)
+    value_idx, time_idx = _column_indices(header, layout, path)
+    values: list[float] = []
+    timestamps: list[str] | None = [] if time_idx is not None else None
+    needed = value_idx if time_idx is None else max(value_idx, time_idx)
+    for line_no, row in enumerate(reader, start=layout.preamble_lines + 2):
+        if not row:
+            continue
+        if needed >= len(row):
+            raise CsvParseError(line_no, layout.delimiter.join(row), path)
+        cell = row[value_idx].strip()
+        try:
+            values.append(float(cell))
+        except ValueError:
+            raise CsvParseError(line_no, cell, path) from None
+        if timestamps is not None:
+            timestamps.append(row[time_idx])
+    return values, timestamps
 
 
 def write_profile(
@@ -179,16 +250,12 @@ def write_profile(
         raise LengthMismatchError(
             f"{len(timestamps)} timestamps for {len(original)} values"
         )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=layout.delimiter, lineterminator="\n")
-        if timestamps is not None:
-            writer.writerow(["time", "original", "fitted"])
-            for t, orig, fit in zip(timestamps, original.values, fitted.values):
-                writer.writerow([t, float(orig), float(fit)])
-        else:
-            writer.writerow(["original", "fitted"])
-            for orig, fit in zip(original.values, fitted.values):
-                writer.writerow([float(orig), float(fit)])
+    header = ["original", "fitted"]
+    columns = [original.values, fitted.values]
+    if timestamps is not None:
+        header.insert(0, "time")
+        columns.insert(0, timestamps)
+    _write_csv(path, header, columns, layout.delimiter)
 
 
 def write_report(path, report: FitReport) -> None:
@@ -219,8 +286,38 @@ def write_plot_data(path_prefix, original: Profile, fitted: Profile) -> None:
 
 
 def _write_indexed(path: str, original: np.ndarray, fitted: np.ndarray) -> None:
+    index = range(1, len(original) + 1)
+    _write_csv(path, ["index", "original", "fitted"], [index, original, fitted])
+
+
+def _write_csv(path, header: list[str], columns: list, delimiter: str = ",") -> None:
+    """Write a header and the rows zipped from ``columns``.
+
+    The bytes are those of ``csv.writer(fh, delimiter=delimiter,
+    lineterminator="\\n")`` given each row, with floats from arrays
+    written by ``repr``. Rows are formatted in blocks of ``_WRITE_BLOCK_ROWS``
+    with one format string; a block in which some field holds the
+    delimiter, a newline, a quote, ``\\r`` or NUL (text csv.writer may quote
+    or reject) is handed to csv.writer instead.
+    """
+    row = delimiter.join(["{}"] * len(columns)) + "\n"
+    per_row = len(columns) - 1
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "original", "fitted"])
-        for i, (orig, fit) in enumerate(zip(original, fitted), start=1):
-            writer.writerow([i, float(orig), float(fit)])
+        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer.writerow(header)
+        for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
+            stop = start + _WRITE_BLOCK_ROWS
+            block = [
+                c[start:stop].tolist() if isinstance(c, np.ndarray) else c[start:stop]
+                for c in columns
+            ]
+            text = "".join(map(row.format, *block))
+            rows = len(block[0])
+            if (
+                _needs_csv(text)
+                or text.count(delimiter) != rows * per_row
+                or text.count("\n") != rows
+            ):
+                writer.writerows(zip(*block))
+            else:
+                fh.write(text)

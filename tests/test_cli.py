@@ -205,3 +205,32 @@ def test_parallel_jobs_match_serial(tmp_path) -> None:
             a = (out1 / f"site{i}{suffix}").read_bytes()
             b = (out2 / f"site{i}{suffix}").read_bytes()
             assert a == b
+
+
+@pytest.mark.parametrize("flag", ["--residual-tol", "--large-exponent"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_options_exit_64(tmp_path, wind_csv, flag, value, capsys) -> None:
+    out_dir = tmp_path / "out"
+    argv = ["-i", str(wind_csv), "-t", "0.6", "-o", str(out_dir), "--allow-clamp"]
+    assert main(argv + [flag, value]) == EXIT_USAGE
+    assert f"{flag} must be positive and finite" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_csv_error_in_one_file_does_not_stop_batch(tmp_path, capsys) -> None:
+    good = write_profile_csv(tmp_path / "good.csv", [0.2, 0.5, 0.8])
+    bad = tmp_path / "huge.csv"
+    # A quoted field longer than csv's field size limit raises csv.Error.
+    bad.write_text(
+        'm1\nm2\nm3\ntime,electricity\n"' + "x" * 140_000 + '",0.5\n', encoding="utf-8"
+    )
+    out_dir = tmp_path / "out"
+    argv = ["-i", str(bad), "-i", str(good), "-t", "0.4", "-o", str(out_dir), "-j", "2"]
+    assert main(argv) == EXIT_ERROR
+    assert (out_dir / "good_fitted.csv").exists()
+    assert (out_dir / "good_report.json").exists()
+    assert not (out_dir / "huge_fitted.csv").exists()
+    summary = capsys.readouterr().out.strip().splitlines()
+    assert len(summary) == 2
+    assert summary[0].startswith(f"{bad}: error: ") and "field larger" in summary[0]
+    assert "status=exact" in summary[1]

@@ -201,14 +201,28 @@ def test_bracket_not_found_past_cap() -> None:
     with pytest.raises(BracketNotFoundError) as excinfo:
         find_search_interval(p, 0.5)
     assert excinfo.value.limit == 1000.0
+    assert excinfo.value.last_mean == mean_power(p, 1000.0)
 
 
 def test_bracket_respects_custom_cap() -> None:
     p = validate_profile([0.5, 0.5])
     opts = FitOptions(large_exponent=3.0)
-    # Root for mu=0.2 is in (2, 4) but 4 exceeds the cap of 3.
+    # Root for mu=0.1 is log2(10) = 3.32, beyond the cap of 3.
     with pytest.raises(BracketNotFoundError):
-        find_search_interval(p, 0.2, opts)
+        find_search_interval(p, 0.1, opts)
+    # Root for mu=0.2 is log2(5) = 2.32: the cap itself closes the bracket.
+    assert find_search_interval(p, 0.2, opts) == (2.0, 3.0)
+
+
+def test_bracket_probes_the_cap() -> None:
+    # S(512) = 0.600 > 0.5 > S(1000) = 0.368: the root lies between the last
+    # doubling point and the cap.
+    p = validate_profile([0.999] * 999 + [1.0])
+    assert find_search_interval(p, 0.5) == (512.0, 1000.0)
+    out = find_solution(p, 0.5)
+    assert out.status is FitStatus.EXACT
+    assert 512.0 < out.exponent < 1000.0
+    assert abs(out.achieved_mean - 0.5) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -376,3 +390,10 @@ def test_fit_options_validation() -> None:
         FitOptions(max_bisect_iter=0)
     with pytest.raises(ValueError):
         FitOptions(large_exponent=0.0)
+
+
+@pytest.mark.parametrize("name", ["residual_tol", "interval_tol", "large_exponent"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_fit_options_reject_non_finite(name, value) -> None:
+    with pytest.raises(ValueError, match=name):
+        FitOptions(**{name: value})

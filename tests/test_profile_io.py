@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -260,3 +263,120 @@ def test_csv_layout_validation() -> None:
         CsvLayout(value_column="")
     with pytest.raises(ValueError):
         CsvLayout(delimiter=",,")
+
+
+# ---------------------------------------------------------------------------
+# Block-wise fast paths against the csv module
+# ---------------------------------------------------------------------------
+
+AWKWARD = [5e-324, 1e-05, 0.1, 1.0, 0.0, 1 / 3, 0.30000000000000004, 1e-300]
+
+
+def _csv_reference(header, rows, delimiter=","):
+    """What csv.writer writes for these rows: the row-by-row reference."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(row)
+    return buf.getvalue().encode("utf-8")
+
+
+def _awkward_profiles(n):
+    rng = np.random.default_rng(n)
+    values = rng.uniform(0.0, 1.0, size=n)
+    values[: len(AWKWARD)] = AWKWARD
+    original = validate_profile(values)
+    return original, apply_exponent(original, 1.7)
+
+
+@pytest.mark.parametrize("delimiter", [",", ";", "e", "."])
+@pytest.mark.parametrize("odd_stamp", [None, "1,2", 'say "hi"', "a\nb", "a\rb"])
+def test_write_profile_matches_csv_writer(tmp_path, delimiter, odd_stamp) -> None:
+    # 1300 rows span three write blocks; an odd stamp sends its block to csv.
+    original, fitted = _awkward_profiles(1300)
+    stamps = [f"2019-01-01 {i % 24:02d}:00" for i in range(1300)]
+    if odd_stamp is not None:
+        stamps[700] = odd_stamp
+    rows = zip(stamps, original.values.tolist(), fitted.values.tolist())
+    want = _csv_reference(["time", "original", "fitted"], rows, delimiter)
+    path = tmp_path / "out.csv"
+    write_profile(path, stamps, original, fitted, CsvLayout(delimiter=delimiter))
+    assert path.read_bytes() == want
+
+    rows = zip(original.values.tolist(), fitted.values.tolist())
+    want = _csv_reference(["original", "fitted"], rows, delimiter)
+    write_profile(path, None, original, fitted, CsvLayout(delimiter=delimiter))
+    assert path.read_bytes() == want
+
+
+def test_write_plot_data_matches_csv_writer(tmp_path) -> None:
+    original, fitted = _awkward_profiles(1300)
+    write_plot_data(tmp_path / "plot", original, fitted)
+    for name, a, b in [
+        ("chronological", original.values, fitted.values),
+        ("sorted", np.sort(original.values)[::-1], np.sort(fitted.values)[::-1]),
+    ]:
+        rows = zip(range(1, 1301), a.tolist(), b.tolist())
+        want = _csv_reference(["index", "original", "fitted"], rows)
+        assert (tmp_path / f"plot_{name}.csv").read_bytes() == want
+
+
+PLAIN = "m1\nm2\nm3\ntime,electricity\nt0,0.5\nt1,0.75\nt2,1\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        PLAIN.replace("\n", "\r\n"),
+        'm1\nm2\nm3\ntime,"electricity"\n"t0",0.5\nt1,"0.75"\nt2,1\n',
+        "m1\nm2\nm3\ntime,electricity\n\nt0,0.5\n\nt1,0.75\nt2,1",
+    ],
+    ids=["crlf", "quoted", "blank-lines"],
+)
+def test_read_profile_same_result_whatever_the_csv_form(tmp_path, text) -> None:
+    (tmp_path / "plain.csv").write_text(PLAIN, newline="")
+    (tmp_path / "other.csv").write_text(text, newline="")
+    want, want_stamps = read_profile(tmp_path / "plain.csv")
+    got, got_stamps = read_profile(tmp_path / "other.csv")
+    np.testing.assert_array_equal(got.values, want.values)
+    assert got_stamps == want_stamps == ["t0", "t1", "t2"]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("rows_before", [1, 3000])
+@pytest.mark.parametrize(
+    "bad_row, error, line_of",
+    [
+        ("t_short", CsvParseError, lambda e: e.line_number),
+        ('"t_bad",x', CsvParseError, lambda e: e.line_number),
+        ("t_bad,1.5", ValueOutOfRangeError, lambda e: e.line),
+    ],
+    ids=["short-row", "unparseable", "out-of-range"],
+)
+def test_read_profile_error_lines_on_every_path(
+    tmp_path, newline, rows_before, bad_row, error, line_of
+) -> None:
+    # 3000 rows put the bad row past the first read block.
+    lines = ["m1", "m2", "m3", "time,electricity"]
+    lines += [f"t{i},0.5" for i in range(rows_before)]
+    lines += [bad_row, "t_last,0.25"]
+    path = tmp_path / "bad.csv"
+    path.write_text(newline.join(lines) + newline, newline="")
+    with pytest.raises(error) as excinfo:
+        read_profile(path)
+    assert line_of(excinfo.value) == 5 + rows_before
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_read_profile_from_a_pipe() -> None:
+    # A pipe cannot seek, so the whole file goes through the row-by-row path.
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, EXAMPLE.encode("utf-8"))
+        os.close(write_end)
+        profile, timestamps = read_profile(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    np.testing.assert_array_equal(profile.values, [0.5, 0.75])
+    assert timestamps == ["2019-01-01 00:00", "2019-01-01 01:00"]

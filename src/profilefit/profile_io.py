@@ -8,8 +8,11 @@ the chronological series and the descending-sorted duration curves.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -114,7 +117,6 @@ def read_profile(
     if layout is None:
         layout = CsvLayout()
     path = Path(path)
-    first_data_line = layout.preamble_lines + 2
     with open(path, encoding="utf-8", newline="") as fh:
         for _ in range(layout.preamble_lines):
             if fh.readline() == "":
@@ -123,24 +125,27 @@ def read_profile(
                 )
         # The fast path may give up partway, and the rows are then reread from
         # the header on, so it runs only where the file can seek back.
+        start = fh.tell() if fh.seekable() else None
         parsed = None
-        if fh.seekable():
-            start = fh.tell()
+        if start is not None:
             parsed = _parse_blocks(fh, layout, path)
             if parsed is None:
                 fh.seek(start)
         if parsed is None:
             parsed = _parse_rows(fh, layout, path)
-    values, timestamps = parsed
+        values, timestamps, lines = parsed
 
-    try:
-        profile = validate_profile(np.asarray(values, dtype=np.float64))
-    except NonFiniteValueError as exc:
-        raise NonFiniteValueError(exc.index, line=exc.index + first_data_line) from None
-    except ValueOutOfRangeError as exc:
-        raise ValueOutOfRangeError(
-            exc.index, exc.value, line=exc.index + first_data_line
-        ) from None
+        try:
+            profile = validate_profile(np.asarray(values, dtype=np.float64))
+        except (NonFiniteValueError, ValueOutOfRangeError) as exc:
+            # The fast path keeps no line numbers; its rows parse, so reread them.
+            if lines is None:
+                fh.seek(start)
+                lines = _parse_rows(fh, layout, path)[2]
+            line = layout.preamble_lines + lines[exc.index]
+            if isinstance(exc, NonFiniteValueError):
+                raise NonFiniteValueError(exc.index, line=line) from None
+            raise ValueOutOfRangeError(exc.index, exc.value, line=line) from None
     return profile, timestamps
 
 
@@ -162,7 +167,8 @@ def _parse_blocks(fh, layout: CsvLayout, path: Path):
     """Fast path of :func:`read_profile`: split text blocks without csv.
 
     Reads the header and data in blocks of about ``_READ_BLOCK_CHARS``,
-    each completed to the next newline. Gives up (returns None) on anything
+    each completed to the next newline, and keeps no line numbers (the third
+    item of the result is None). Gives up (returns None) on anything
     that needs csv semantics or that :func:`_parse_rows` would report: a
     quote, ``\\r`` or NUL, a line longer than csv's field size limit, a short
     row, or a cell ``float`` rejects. The caller then rereads the data
@@ -195,7 +201,7 @@ def _parse_blocks(fh, layout: CsvLayout, path: Path):
                 timestamps.extend([row[time_idx] for row in rows])
     except ValueError:  # an unparseable cell, or undecodable bytes
         return None
-    return values, timestamps
+    return values, timestamps, None
 
 
 def _needs_csv(text: str) -> bool:
@@ -203,7 +209,12 @@ def _needs_csv(text: str) -> bool:
 
 
 def _parse_rows(fh, layout: CsvLayout, path: Path):
-    """Row-by-row csv parse of the header and data; builds every parse error."""
+    """Row-by-row csv parse of the header and data; builds every parse error.
+
+    Also returns, for each value, its row's last line counted from the
+    header (``reader.line_num``), so blank lines and quoted multi-line
+    fields count.
+    """
     reader = csv.reader(fh, delimiter=layout.delimiter)
     header = next(reader, None)
     if header is None:
@@ -211,10 +222,12 @@ def _parse_rows(fh, layout: CsvLayout, path: Path):
     value_idx, time_idx = _column_indices(header, layout, path)
     values: list[float] = []
     timestamps: list[str] | None = [] if time_idx is not None else None
+    lines: list[int] = []
     needed = value_idx if time_idx is None else max(value_idx, time_idx)
-    for line_no, row in enumerate(reader, start=layout.preamble_lines + 2):
+    for row in reader:
         if not row:
             continue
+        line_no = layout.preamble_lines + reader.line_num
         if needed >= len(row):
             raise CsvParseError(line_no, layout.delimiter.join(row), path)
         cell = row[value_idx].strip()
@@ -222,9 +235,10 @@ def _parse_rows(fh, layout: CsvLayout, path: Path):
             values.append(float(cell))
         except ValueError:
             raise CsvParseError(line_no, cell, path) from None
+        lines.append(reader.line_num)
         if timestamps is not None:
             timestamps.append(row[time_idx])
-    return values, timestamps
+    return values, timestamps, lines
 
 
 def write_profile(
@@ -260,7 +274,7 @@ def write_profile(
 
 def write_report(path, report: FitReport) -> None:
     """Serialize one fit report as a single JSON object."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path, newline=None) as fh:
         json.dump(asdict(report), fh, indent=2)
         fh.write("\n")
 
@@ -290,21 +304,38 @@ def _write_indexed(path: str, original: np.ndarray, fitted: np.ndarray) -> None:
     _write_csv(path, ["index", "original", "fitted"], [index, original, fitted])
 
 
+@contextlib.contextmanager
+def _replacing(path, newline: str | None = ""):
+    """Open a sibling ``<name>.tmp`` for writing and move it onto ``path``.
+
+    Readers of ``path`` see the old file or the whole new one, never a
+    partial write. A write that raises leaves ``path`` as it was and
+    removes the temp file.
+    """
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def _write_csv(path, header: list[str], columns: list, delimiter: str = ",") -> None:
     """Write a header and the rows zipped from ``columns``.
 
-    The bytes are those of ``csv.writer(fh, delimiter=delimiter,
-    lineterminator="\\n")`` given each row, with floats from arrays
-    written by ``repr``. Rows are formatted in blocks of ``_WRITE_BLOCK_ROWS``
-    with one format string; a block in which some field holds the
-    delimiter, a newline, a quote, ``\\r`` or NUL (text csv.writer may quote
-    or reject) is handed to csv.writer instead.
+    Rows are formatted in blocks of ``_WRITE_BLOCK_ROWS`` with one format
+    string, floats from arrays by ``repr``. A block in which some field holds
+    the delimiter, a newline, a quote, ``\\r`` or NUL (text csv may quote or
+    reject) goes through :func:`_write_rows` instead, so every byte is that
+    of :func:`_write_rows`.
     """
     row = delimiter.join(["{}"] * len(columns)) + "\n"
     per_row = len(columns) - 1
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
-        writer.writerow(header)
+    with _replacing(path) as fh:
+        _write_rows(fh, [header], delimiter)
         for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
             stop = start + _WRITE_BLOCK_ROWS
             block = [
@@ -318,6 +349,23 @@ def _write_csv(path, header: list[str], columns: list, delimiter: str = ",") -> 
                 or text.count(delimiter) != rows * per_row
                 or text.count("\n") != rows
             ):
-                writer.writerows(zip(*block))
+                _write_rows(fh, zip(*block), delimiter)
             else:
                 fh.write(text)
+
+
+def _write_rows(fh, rows, delimiter: str) -> None:
+    """Write rows as ``csv.writer(fh, delimiter, lineterminator="\\n")`` does,
+    except that a field holding ``\\r`` is quoted.
+
+    Such a writer leaves ``\\r`` bare, and a reader then splits the row
+    there. Under a ``"\\r\\n"`` terminator csv.writer quotes it, so rows are
+    written with that terminator, swapped for ``"\\n"``.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\r\n")
+    for r in rows:
+        writer.writerow(r)
+        fh.write(buf.getvalue()[:-2] + "\n")
+        buf.seek(0)
+        buf.truncate()

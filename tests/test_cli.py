@@ -1,9 +1,13 @@
 import json
+import os
+import sys
+import time
 
 import numpy as np
 import pytest
 from conftest import write_profile_csv
 
+from profilefit import cli
 from profilefit.cli import (
     EXIT_CLAMPED,
     EXIT_ERROR,
@@ -12,6 +16,7 @@ from profilefit.cli import (
     CliConfig,
     ManifestMissingEntryError,
     expand_inputs,
+    _default_jobs,
     main,
     parse_args,
     resolve_targets,
@@ -234,3 +239,98 @@ def test_csv_error_in_one_file_does_not_stop_batch(tmp_path, capsys) -> None:
     assert len(summary) == 2
     assert summary[0].startswith(f"{bad}: error: ") and "field larger" in summary[0]
     assert "status=exact" in summary[1]
+
+
+# Forked workers inherit a monkeypatch; spawned ones re-import the module.
+needs_fork = pytest.mark.skipif(
+    sys.platform != "linux", reason="workers see the patch only when forked"
+)
+
+
+def _patch_read_profile(monkeypatch, path, action) -> None:
+    real = cli.read_profile
+
+    def read_profile(p, layout):
+        if str(p) == str(path):
+            action()
+        return real(p, layout)
+
+    monkeypatch.setattr(cli, "read_profile", read_profile)
+
+
+@pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
+def test_unexpected_exception_in_one_file_does_not_stop_batch(
+    tmp_path, monkeypatch, capsys, jobs
+) -> None:
+    paths = [write_profile_csv(tmp_path / f"p{i}.csv", [0.2, 0.5, 0.8]) for i in range(3)]
+
+    def boom():
+        raise RuntimeError("boom")
+
+    _patch_read_profile(monkeypatch, paths[1], boom)
+    out_dir = tmp_path / "out"
+    argv = ["-t", "0.4", "-o", str(out_dir), "-j", str(jobs)]
+    for p in paths:
+        argv += ["-i", str(p)]
+    assert main(argv) == EXIT_ERROR
+    summary = capsys.readouterr().out.strip().splitlines()
+    assert summary[1] == f"{paths[1]}: error: RuntimeError: boom"
+    for i in (0, 2):
+        assert summary[i].startswith(f"{paths[i]}: ") and "status=exact" in summary[i]
+        assert (out_dir / f"p{i}_fitted.csv").exists()
+        assert (out_dir / f"p{i}_report.json").exists()
+    assert not (out_dir / "p1_fitted.csv").exists()
+
+
+@needs_fork
+def test_dead_worker_gives_error_lines_and_keeps_finished_files(
+    tmp_path, monkeypatch, capsys
+) -> None:
+    # 3 files on 2 workers go out one per chunk. The first file's worker dies
+    # after the other worker finished the files behind it.
+    paths = [write_profile_csv(tmp_path / f"p{i}.csv", [0.2, 0.5, 0.8]) for i in range(3)]
+    out_dir = tmp_path / "out"
+    finished = [out_dir / "p1_report.json", out_dir / "p2_report.json"]
+
+    def die():
+        # Let the other files finish and send their results first.
+        deadline = time.monotonic() + 30
+        while not all(f.exists() for f in finished) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.5)
+        os._exit(3)
+
+    _patch_read_profile(monkeypatch, paths[0], die)
+    argv = ["-t", "0.4", "-o", str(out_dir), "-j", "2"]
+    for p in paths:
+        argv += ["-i", str(p)]
+    assert main(argv) == EXIT_ERROR
+    summary = capsys.readouterr().out.strip().splitlines()
+    assert len(summary) == 3
+    assert summary[0].startswith(f"{paths[0]}: error: BrokenProcessPool: ")
+    for i in (1, 2):
+        assert summary[i].startswith(f"{paths[i]}: ") and "status=exact" in summary[i]
+
+
+def test_summary_lines_keep_input_order_across_chunks(tmp_path, capsys) -> None:
+    # 9 files on 2 workers go out in chunks of 2.
+    rng = np.random.default_rng(3)
+    argv = ["-t", "0.45"]
+    for i in range(9):
+        p = write_profile_csv(tmp_path / f"f{i}.csv", rng.uniform(0, 1, size=50))
+        argv += ["-i", str(p)]
+    assert main(argv + ["-o", str(tmp_path / "serial"), "-j", "1"]) == EXIT_OK
+    serial = capsys.readouterr().out
+    assert main(argv + ["-o", str(tmp_path / "pooled"), "-j", "2"]) == EXIT_OK
+    assert capsys.readouterr().out == serial
+    assert [line.split(":")[0] for line in serial.splitlines()] == argv[3::2]
+
+
+def test_default_jobs_counts_usable_cpus(monkeypatch) -> None:
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert _default_jobs() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _default_jobs() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _default_jobs() == 1

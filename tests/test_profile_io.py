@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from profilefit.fitcore import (
+    NonFiniteValueError,
     ValueOutOfRangeError,
     apply_exponent,
     validate_profile,
@@ -300,6 +302,9 @@ def test_write_profile_matches_csv_writer(tmp_path, delimiter, odd_stamp) -> Non
         stamps[700] = odd_stamp
     rows = zip(stamps, original.values.tolist(), fitted.values.tolist())
     want = _csv_reference(["time", "original", "fitted"], rows, delimiter)
+    if odd_stamp == "a\rb":
+        # csv.writer leaves "\r" bare under a "\n" terminator; write_profile quotes it.
+        want = want.replace(f"a\rb{delimiter}".encode(), f'"a\rb"{delimiter}'.encode())
     path = tmp_path / "out.csv"
     write_profile(path, stamps, original, fitted, CsvLayout(delimiter=delimiter))
     assert path.read_bytes() == want
@@ -380,3 +385,55 @@ def test_read_profile_from_a_pipe() -> None:
         os.close(read_end)
     np.testing.assert_array_equal(profile.values, [0.5, 0.75])
     assert timestamps == ["2019-01-01 00:00", "2019-01-01 01:00"]
+
+
+@pytest.mark.parametrize(
+    "text, error, line",
+    [
+        # Two blank lines before the bad value, which sits on line 8.
+        ("m\nm\nm\ntime,electricity\nt0,0.5\n\n\nt1,1.5\n", ValueOutOfRangeError, 8),
+        ("m\nm\nm\ntime,electricity\n\nt0,nan\n", NonFiniteValueError, 6),
+        # A quoted time cell spanning lines 5-6 puts the bad value on line 7.
+        ('m\nm\nm\ntime,electricity\n"t\n0",0.5\nt1,-0.5\n', ValueOutOfRangeError, 7),
+        ('m\nm\nm\ntime,electricity\n"t\n0",0.5\nt1,x\n', CsvParseError, 7),
+        ('m\nm\nm\ntime,electricity\n\n"t\n0",0.5\n\nt1\n', CsvParseError, 9),
+    ],
+    ids=["blank-lines", "blank-line-nan", "multi-line-field", "parse-after-multi-line",
+         "short-row-after-both"],
+)
+def test_read_profile_error_line_counts_blank_and_multi_line_rows(
+    tmp_path, text, error, line
+) -> None:
+    path = tmp_path / "bad.csv"
+    path.write_text(text, newline="")
+    with pytest.raises(error) as excinfo:
+        read_profile(path)
+    got = excinfo.value.line_number if error is CsvParseError else excinfo.value.line
+    assert got == line
+
+
+class _Unprintable:
+    def __format__(self, spec):
+        raise RuntimeError("cannot format")
+
+
+def test_failed_writes_keep_the_previous_file(tmp_path) -> None:
+    original, fitted = _awkward_profiles(1300)
+    stamps = [f"t{i}" for i in range(1300)]
+    path = tmp_path / "out.csv"
+    write_profile(path, stamps, original, fitted)
+    before = path.read_bytes()
+    # The bad stamp sits in the second write block, after the first was written.
+    stamps[700] = _Unprintable()
+    with pytest.raises(RuntimeError):
+        write_profile(path, stamps, fitted, original)
+    assert path.read_bytes() == before
+
+    report_path = tmp_path / "out_report.json"
+    report = FitReport("in.csv", 3, 0, 0, 0.5, 0.4, 1.2, 0.4, "exact", 5, 1.0)
+    write_report(report_path, report)
+    before = report_path.read_bytes()
+    with pytest.raises(TypeError):  # json.dump fails on the last field
+        write_report(report_path, dataclasses.replace(report, elapsed_ms=object()))
+    assert report_path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out_report.json"]

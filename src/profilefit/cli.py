@@ -28,7 +28,7 @@ from .fitcore import (
     TargetOutOfRangeError,
     apply_exponent,
     find_solution,
-    profile_stats,
+    profile_stats,  # noqa: F401  unused here; perfbench's tracer wraps cli.profile_stats
 )
 from .profile_io import (
     CsvLayout,
@@ -158,7 +158,6 @@ class _FileResult:
 def _fit_one(path: str, mu: float, layout: CsvLayout, config: CliConfig) -> _FileResult:
     try:
         profile, timestamps = read_profile(path, layout)
-        stats = profile_stats(profile)
         opts = FitOptions(
             target_mu=mu,
             residual_tol=config.residual_tol,
@@ -168,6 +167,7 @@ def _fit_one(path: str, mu: float, layout: CsvLayout, config: CliConfig) -> _Fil
         outcome = find_solution(profile, mu, opts)
         fitted = apply_exponent(profile, outcome.exponent)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
+        stats = outcome.stats
 
         stem = Path(path).stem
         out_dir = Path(config.out_dir)

@@ -8,7 +8,11 @@ positive value to a common exponent x >= 0 moves the profile mean
 monotonically from r/m at x = 0 (r = count of nonzero values) down to
 n/m as x grows (n = count of values equal to 1). Fitting a target mean
 mu therefore reduces to a scalar root solve of S(x) = mu, which this
-module performs with a doubling bracket search followed by bisection.
+module performs with a doubling bracket search followed by a safeguarded
+Newton iteration (:func:`bisect_root`, named after the plain bisection it
+replaced). S is convex and decreasing, so Newton steps from the left end
+of the bracket approach the root from one side; a bisection step is taken
+only when a Newton step is undefined or leaves the bracket.
 Targets outside the reachable band (n/m, r/m] are clamped to x = 0 or
 to a large fallback exponent.
 """
@@ -118,7 +122,7 @@ class BracketNotFoundError(ProfileFitError):
 class MaxIterationsExceededError(ProfileFitError):
     def __init__(self, max_iter: int):
         self.max_iter = max_iter
-        super().__init__(f"bisection did not converge within {max_iter} iterations")
+        super().__init__(f"root solve did not converge within {max_iter} iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +211,7 @@ class FitOutcome:
     status: FitStatus
     iterations: int
     bracket: tuple[float, float] | None = None
+    stats: ProfileStats | None = None  # of the profile that was fitted
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +278,9 @@ def mean_power_derivative(p: Profile, x: float) -> float:
     """Slope of the transformed mean: (1/m) * sum of p_i**x * ln(p_i).
 
     Nonpositive everywhere; zero exactly when every nonzero value is 1.
-    Used for diagnostics and test oracles only; the root solve itself is
-    derivative-free.
+    The slope that the Newton steps of :func:`bisect_root` follow. That
+    solver computes it in exp-log form, from the same ``exp`` per step as
+    S(x); this pow form is the reference the tests compare against.
     """
     v = p.values
     pos = v[v > 0.0]
@@ -329,12 +335,21 @@ def bisect_root(
     b: float,
     opts: FitOptions | None = None,
 ) -> tuple[float, int]:
-    """Bisect S(x) - mu on a sign-changing bracket [a, b].
+    """Solve S(x) = mu on a sign-changing bracket [a, b] by safeguarded Newton.
 
-    Stops when |S(x) - mu| <= residual_tol or the bracket has shrunk to
-    interval_tol. A degenerate bracket (a == b) returns a immediately with
-    zero iterations. Raises :class:`MaxIterationsExceededError` if neither
-    tolerance is met within ``opts.max_bisect_iter`` halvings.
+    The name is kept from the plain bisection this replaced. ``log p`` is
+    built once; each step evaluates ``e = exp(x * log p)`` once and reads
+    both S(x) and S'(x) from it. Newton starts at ``a``: S is convex and
+    decreasing, so from a point where S > mu the step never passes the
+    root. The step falls back to the bracket midpoint whenever it is
+    undefined, not finite or outside the current bracket (lo, hi).
+
+    Stops when |S(x) - mu| <= residual_tol holds for :func:`mean_power`
+    itself (the exp form may differ from ``p ** x`` in the last bits), or
+    when the bracket has shrunk to interval_tol. A degenerate bracket
+    (a == b) returns a immediately with zero iterations. Raises
+    :class:`MaxIterationsExceededError` if neither tolerance is met within
+    ``opts.max_bisect_iter`` steps.
     """
     if opts is None:
         opts = FitOptions()
@@ -342,26 +357,39 @@ def bisect_root(
         raise ValueError(f"invalid bracket: a={a!r} > b={b!r}")
     if a == b:
         return (float(a), 0)
+    tol = opts.residual_tol
     fa = mean_power(p, a) - mu
-    if abs(fa) <= opts.residual_tol:
+    if abs(fa) <= tol:
         return (float(a), 0)
     fb = mean_power(p, b) - mu
-    if abs(fb) <= opts.residual_tol:
+    if abs(fb) <= tol:
         return (float(b), 0)
     if fa * fb > 0.0:
         raise ValueError(
             f"bracket [{a!r}, {b!r}] does not straddle the target mean {mu!r}"
         )
+    v = p.values
+    lp = np.log(v[v > 0.0])
+    m = v.size
+
+    def residual_and_slope(x: float) -> tuple[float, float]:
+        e = np.exp(x * lp)
+        return float(e.sum() / m - mu), float(e.dot(lp) / m)
+
     lo, hi, flo = float(a), float(b), fa
+    x = lo
+    f, slope = residual_and_slope(x)
     for iteration in range(1, opts.max_bisect_iter + 1):
-        mid = 0.5 * (lo + hi)
-        fmid = mean_power(p, mid) - mu
-        if abs(fmid) <= opts.residual_tol:
-            return (mid, iteration)
-        if (flo > 0.0) == (fmid > 0.0):
-            lo, flo = mid, fmid
+        x = x - f / slope if slope != 0.0 else math.nan
+        if not lo < x < hi:  # also catches nan
+            x = 0.5 * (lo + hi)
+        f, slope = residual_and_slope(x)
+        if abs(f) <= 0.5 * tol and abs(mean_power(p, x) - mu) <= tol:
+            return (x, iteration)
+        if (flo > 0.0) == (f > 0.0):
+            lo, flo = x, f
         else:
-            hi = mid
+            hi = x
         if hi - lo <= opts.interval_tol:
             return (0.5 * (lo + hi), iteration)
     raise MaxIterationsExceededError(opts.max_bisect_iter)
@@ -374,8 +402,9 @@ def find_solution(
 
     ``p`` may be a :class:`Profile` or any raw sequence, which is validated
     first. ``mu`` defaults to ``opts.target_mu``. Feasible targets are
-    solved exactly (bracket + bisection); a target above r/m clamps to
-    exponent 0, a target at or below n/m clamps to ``opts.large_exponent``.
+    solved exactly (bracket + safeguarded Newton); a target above r/m clamps
+    to exponent 0, a target at or below n/m clamps to ``opts.large_exponent``.
+    The outcome carries the profile's :class:`ProfileStats`.
     """
     if not isinstance(p, Profile):
         p = validate_profile(p)
@@ -393,6 +422,7 @@ def find_solution(
             achieved_mean=mean_power(p, 0.0),
             status=FitStatus.CLAMPED_LOW,
             iterations=0,
+            stats=stats,
         )
     if feasibility is Feasibility.INFEASIBLE_LOW:
         x = float(opts.large_exponent)
@@ -401,6 +431,7 @@ def find_solution(
             achieved_mean=mean_power(p, x),
             status=FitStatus.CLAMPED_HIGH,
             iterations=0,
+            stats=stats,
         )
 
     a, b = find_search_interval(p, mu, opts)
@@ -411,6 +442,7 @@ def find_solution(
         status=FitStatus.EXACT,
         iterations=iterations,
         bracket=(a, b),
+        stats=stats,
     )
 
 

@@ -258,8 +258,10 @@ def test_bisect_can_stop_on_interval_width() -> None:
 
 
 def test_bisect_iteration_cap() -> None:
+    # Newton lands on this root (residual exactly 0) in 5 steps, so only a
+    # cap below that can trigger; one step is far from either tolerance.
     p = validate_profile([0.25, 0.5, 0.75])
-    opts = FitOptions(residual_tol=1e-300, interval_tol=1e-300, max_bisect_iter=5)
+    opts = FitOptions(residual_tol=1e-300, interval_tol=1e-300, max_bisect_iter=1)
     with pytest.raises(MaxIterationsExceededError):
         bisect_root(p, 0.6, 0.0, 1.0, opts)
 
@@ -336,6 +338,39 @@ def test_solution_uses_options_target_when_mu_omitted() -> None:
 def test_solution_propagates_bracket_not_found() -> None:
     with pytest.raises(BracketNotFoundError):
         find_solution([1 - 1e-9], 0.5)
+
+
+def _baseload_year() -> np.ndarray:
+    """Hourly values 1 - |N(0, 0.01)| at 3 decimals, with a two-week outage."""
+    rng = np.random.default_rng(3)
+    values = np.round(1.0 - np.abs(rng.normal(0.0, 0.01, 8760)), 3)
+    values[4000:4336] = 0.0
+    return values
+
+
+@pytest.mark.parametrize(
+    ("values", "mu"),
+    [
+        ([0.999] * 999 + [1.0], 0.5),  # root 693.8, bracket (512, 1000)
+        (_baseload_year(), 0.2),  # root 355.6, bracket (256, 512)
+        (_baseload_year(), 0.3),  # root 216.9, bracket (128, 256)
+    ],
+)
+def test_solution_converges_in_few_steps(values, mu) -> None:
+    # Plain bisection needs 25-30 halvings on these wide brackets.
+    p = validate_profile(values)
+    out = find_solution(p, mu)
+    assert out.status is FitStatus.EXACT
+    assert out.exponent > 100.0
+    assert out.iterations <= 10
+    assert abs(mean_power(p, out.exponent) - mu) <= 1e-10
+
+
+@pytest.mark.parametrize("mu", [0.9, 0.6, 0.1])  # clamped low, exact, clamped high
+def test_solution_carries_profile_stats(mu) -> None:
+    p = validate_profile([0.0, 0.25, 0.5, 1.0])
+    out = find_solution(p, mu)
+    assert out.stats == profile_stats(p)
 
 
 # ---------------------------------------------------------------------------

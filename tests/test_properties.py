@@ -124,6 +124,31 @@ def test_fit_status_encodes_feasibility(values, mu) -> None:
         assert abs(out.achieved_mean - mu) <= 1e-10
 
 
+@given(
+    tame_values,
+    st.one_of(
+        # Targets just above the asymptote n/m, where S is flat and the
+        # root sits at a large exponent, and targets across the whole band.
+        st.floats(min_value=1e-9, max_value=1e-2),
+        st.floats(min_value=1e-6, max_value=1.0),
+    ),
+)
+def test_exact_fit_lies_in_its_bracket_and_meets_the_residual(values, band_fraction) -> None:
+    p = validate_profile(values)
+    s = profile_stats(p)
+    mu = s.asymptote + band_fraction * (s.max_reachable - s.asymptote)
+    assume(0.0 < mu < 1.0)
+    assume(s.asymptote < mu <= s.max_reachable)
+    try:
+        out = find_solution(p, mu)
+    except BracketNotFoundError:
+        return  # contractually allowed: root beyond the exponent cap
+    assert out.status is FitStatus.EXACT
+    a, b = out.bracket
+    assert a <= out.exponent <= b
+    assert abs(mean_power(p, out.exponent) - mu) <= 1e-10
+
+
 @settings(max_examples=40)
 @given(
     st.lists(st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=1, max_size=20),

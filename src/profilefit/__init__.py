@@ -8,7 +8,6 @@ values while leaving zeros and ones untouched.
 from .fitcore import (
     BracketNotFoundError,
     EmptyProfileError,
-    Feasibility,
     FitOptions,
     FitOutcome,
     FitStatus,
@@ -28,7 +27,6 @@ from .fitcore import (
     mean_power,
     mean_power_derivative,
     profile_stats,
-    sigma_pow,
     validate_profile,
 )
 from .profile_io import (
@@ -50,7 +48,6 @@ __all__ = [
     "CsvLayout",
     "CsvParseError",
     "EmptyProfileError",
-    "Feasibility",
     "FitOptions",
     "FitOutcome",
     "FitReport",
@@ -74,7 +71,6 @@ __all__ = [
     "mean_power_derivative",
     "profile_stats",
     "read_profile",
-    "sigma_pow",
     "validate_profile",
     "write_plot_data",
     "write_profile",

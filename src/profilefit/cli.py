@@ -80,15 +80,15 @@ class CliConfig:
     inputs: list[str]
     target: float | None = None
     manifest: str | None = None
-    column: str = "electricity"
-    preamble_lines: int = 3
-    delimiter: str = ","
+    column: str = CsvLayout.value_column
+    preamble_lines: int = CsvLayout.preamble_lines
+    delimiter: str = CsvLayout.delimiter
     out_dir: str = "."
     emit_plot_data: bool = False
     allow_clamp: bool = False
     jobs: int = field(default_factory=_default_jobs)
-    residual_tol: float = 1e-10
-    large_exponent: float = 1000.0
+    residual_tol: float = FitOptions.residual_tol
+    large_exponent: float = FitOptions.large_exponent
 
 
 def expand_inputs(patterns: list[str]) -> list[str]:
@@ -124,14 +124,13 @@ def _load_manifest(path: str) -> dict[str, float]:
     return mapping
 
 
-def resolve_targets(config: CliConfig) -> dict[str, float]:
-    """Map every input path to its target capacity factor.
+def resolve_targets(config: CliConfig, paths: list[str]) -> dict[str, float]:
+    """Map every path (the expanded ``config.inputs``) to its target capacity factor.
 
     A single ``target`` applies to all inputs; manifest entries override it
     per file. Raises :class:`ManifestMissingEntryError` for inputs with no
     target at all and :class:`TargetOutOfRangeError` for values outside (0, 1).
     """
-    paths = expand_inputs(config.inputs)
     manifest = _load_manifest(config.manifest) if config.manifest else {}
     targets: dict[str, float] = {}
     for p in paths:
@@ -159,7 +158,6 @@ def _fit_one(path: str, mu: float, layout: CsvLayout, config: CliConfig) -> _Fil
     try:
         profile, timestamps = read_profile(path, layout)
         opts = FitOptions(
-            target_mu=mu,
             residual_tol=config.residual_tol,
             large_exponent=config.large_exponent,
         )
@@ -171,7 +169,10 @@ def _fit_one(path: str, mu: float, layout: CsvLayout, config: CliConfig) -> _Fil
 
         stem = Path(path).stem
         out_dir = Path(config.out_dir)
-        write_profile(out_dir / f"{stem}_fitted.csv", timestamps, profile, fitted, layout)
+        write_profile(
+            out_dir / f"{stem}_fitted.csv", timestamps, profile, fitted,
+            delimiter=layout.delimiter,
+        )
         report = FitReport(
             input_path=str(path),
             m=stats.m,
@@ -262,7 +263,7 @@ def run_fit(config: CliConfig) -> int:
         stems[stem] = p
 
     try:
-        targets = resolve_targets(config)
+        targets = resolve_targets(config, paths)
     except (ProfileFitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -349,19 +350,19 @@ def _build_parser() -> _ArgumentParser:
     )
     parser.add_argument(
         "--column",
-        default="electricity",
-        help="name of the value column (default: electricity)",
+        default=CsvLayout.value_column,
+        help="name of the value column (default: %(default)s)",
     )
     parser.add_argument(
         "--preamble-lines",
         type=int,
-        default=3,
-        help="metadata lines before the header row (default: 3)",
+        default=CsvLayout.preamble_lines,
+        help="metadata lines before the header row (default: %(default)s)",
     )
     parser.add_argument(
         "--delimiter",
-        default=",",
-        help="field delimiter (default: ,)",
+        default=CsvLayout.delimiter,
+        help="field delimiter (default: %(default)s)",
     )
     parser.add_argument(
         "-o",
@@ -390,14 +391,14 @@ def _build_parser() -> _ArgumentParser:
     parser.add_argument(
         "--residual-tol",
         type=float,
-        default=1e-10,
-        help="convergence tolerance on |achieved - target| (default: 1e-10)",
+        default=FitOptions.residual_tol,
+        help="convergence tolerance on |achieved - target| (default: %(default)s)",
     )
     parser.add_argument(
         "--large-exponent",
         type=float,
-        default=1000.0,
-        help="fallback exponent for targets at or below n/m (default: 1000)",
+        default=FitOptions.large_exponent,
+        help="fallback exponent for targets at or below n/m (default: %(default)s)",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     return parser

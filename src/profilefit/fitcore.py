@@ -14,7 +14,8 @@ replaced). S is convex and decreasing, so Newton steps from the left end
 of the bracket approach the root from one side; a bisection step is taken
 only when a Newton step is undefined or leaves the bracket.
 Targets outside the reachable band (n/m, r/m] are clamped to x = 0 or
-to a large fallback exponent.
+to a large fallback exponent; :func:`classify_feasibility` gives the
+:class:`FitStatus` of each case.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 __all__ = [
     "BracketNotFoundError",
     "EmptyProfileError",
-    "Feasibility",
     "FitOptions",
     "FitOutcome",
     "FitStatus",
@@ -48,7 +48,6 @@ __all__ = [
     "mean_power",
     "mean_power_derivative",
     "profile_stats",
-    "sigma_pow",
     "validate_profile",
 ]
 
@@ -173,27 +172,18 @@ class ProfileStats:
 class FitOptions:
     """Knobs for the root solve and its clamping fallback."""
 
-    target_mu: float = 0.6
     residual_tol: float = 1e-10
     interval_tol: float = 1e-12
     max_bisect_iter: int = 200
     large_exponent: float = 1000.0
 
     def __post_init__(self):
-        if not 0.0 < self.target_mu < 1.0:
-            raise TargetOutOfRangeError(self.target_mu)
         for name in ("residual_tol", "interval_tol", "large_exponent"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.max_bisect_iter < 1:
             raise ValueError("max_bisect_iter must be a positive integer")
-
-
-class Feasibility(enum.Enum):
-    FEASIBLE = "feasible"
-    INFEASIBLE_HIGH = "infeasible_high"   # target above r/m, the reachable maximum
-    INFEASIBLE_LOW = "infeasible_low"     # target at or below the asymptote n/m
 
 
 class FitStatus(enum.Enum):
@@ -251,15 +241,6 @@ def profile_stats(p: Profile) -> ProfileStats:
     return ProfileStats(m=m, r=r, n=n, mean=float(v.sum() / m))
 
 
-def sigma_pow(p: float, x: float) -> float:
-    """p ** x with the continuous zero convention: 0 for p = 0, any x.
-
-    In particular sigma_pow(0, 0) is 0, overriding the usual 0 ** 0 == 1,
-    so that x -> sigma_pow(p, x) is continuous for every p in [0, 1].
-    """
-    return float(p) ** x if p > 0.0 else 0.0
-
-
 def mean_power(p: Profile, x: float) -> float:
     """Transformed mean S(x) = (1/m) * sum of p_i ** x over nonzero values.
 
@@ -289,13 +270,18 @@ def mean_power_derivative(p: Profile, x: float) -> float:
     return float(np.sum(pos ** x * np.log(pos)) / v.size)
 
 
-def classify_feasibility(stats: ProfileStats, mu: float) -> Feasibility:
-    """Decide whether S(x) = mu has a root: feasible iff n/m < mu <= r/m."""
+def classify_feasibility(stats: ProfileStats, mu: float) -> FitStatus:
+    """The status a fit to ``mu`` gets: S(x) = mu has a root iff n/m < mu <= r/m.
+
+    ``EXACT`` inside that band, ``CLAMPED_LOW`` (exponent 0) for a target
+    above r/m, ``CLAMPED_HIGH`` (the large fallback exponent) for one at or
+    below n/m.
+    """
     if mu > stats.max_reachable:
-        return Feasibility.INFEASIBLE_HIGH
+        return FitStatus.CLAMPED_LOW
     if mu <= stats.asymptote:
-        return Feasibility.INFEASIBLE_LOW
-    return Feasibility.FEASIBLE
+        return FitStatus.CLAMPED_HIGH
+    return FitStatus.EXACT
 
 
 def find_search_interval(
@@ -395,41 +381,32 @@ def bisect_root(
     raise MaxIterationsExceededError(opts.max_bisect_iter)
 
 
-def find_solution(
-    p, mu: float | None = None, opts: FitOptions | None = None
-) -> FitOutcome:
-    """Find the exponent whose transformed mean matches the target.
+def find_solution(p, mu: float, opts: FitOptions | None = None) -> FitOutcome:
+    """Find the exponent whose transformed mean matches the target ``mu``.
 
     ``p`` may be a :class:`Profile` or any raw sequence, which is validated
-    first. ``mu`` defaults to ``opts.target_mu``. Feasible targets are
+    first; ``mu`` must lie in (0, 1), else :class:`TargetOutOfRangeError`.
+    The status is :func:`classify_feasibility`'s: targets in (n/m, r/m] are
     solved exactly (bracket + safeguarded Newton); a target above r/m clamps
-    to exponent 0, a target at or below n/m clamps to ``opts.large_exponent``.
+    to exponent 0, a target at or below n/m to ``opts.large_exponent``.
     The outcome carries the profile's :class:`ProfileStats`.
     """
     if not isinstance(p, Profile):
         p = validate_profile(p)
     if opts is None:
         opts = FitOptions()
-    mu = opts.target_mu if mu is None else float(mu)
+    mu = float(mu)
     if not 0.0 < mu < 1.0:
         raise TargetOutOfRangeError(mu)
 
     stats = profile_stats(p)
-    feasibility = classify_feasibility(stats, mu)
-    if feasibility is Feasibility.INFEASIBLE_HIGH:
-        return FitOutcome(
-            exponent=0.0,
-            achieved_mean=mean_power(p, 0.0),
-            status=FitStatus.CLAMPED_LOW,
-            iterations=0,
-            stats=stats,
-        )
-    if feasibility is Feasibility.INFEASIBLE_LOW:
-        x = float(opts.large_exponent)
+    status = classify_feasibility(stats, mu)
+    if status is not FitStatus.EXACT:
+        x = 0.0 if status is FitStatus.CLAMPED_LOW else float(opts.large_exponent)
         return FitOutcome(
             exponent=x,
             achieved_mean=mean_power(p, x),
-            status=FitStatus.CLAMPED_HIGH,
+            status=status,
             iterations=0,
             stats=stats,
         )
@@ -449,12 +426,15 @@ def find_solution(
 def apply_exponent(p, x: float) -> Profile:
     """Raise every value to the exponent, keeping zeros at zero.
 
-    Elementwise :func:`sigma_pow`; order and length are preserved and the
-    result is again a valid profile (values stay within [0, 1] for x >= 0).
+    Each positive value p becomes p ** x. A zero stays 0 for every x,
+    x = 0 included (not 0 ** 0 = 1), so the map is continuous in x and the
+    mean of the result is S(x). Order and length are preserved and the
+    result is again a valid profile: values stay within [0, 1] for any
+    x >= 0, ``inf`` included. A negative or NaN exponent raises ValueError.
     """
     if not isinstance(p, Profile):
         p = validate_profile(p)
-    if x < 0.0:
+    if not x >= 0.0:  # also catches nan
         raise ValueError(f"exponent must be nonnegative, got {x!r}")
     v = p.values
     out = np.zeros_like(v)

@@ -246,16 +246,14 @@ def write_profile(
     timestamps: list[str] | None,
     original: Profile,
     fitted: Profile,
-    layout: CsvLayout | None = None,
+    delimiter: str = CsvLayout.delimiter,
 ) -> None:
-    """Write original and fitted series side by side.
+    """Write original and fitted series side by side, fields split by ``delimiter``.
 
     Header is ``time,original,fitted`` when timestamps are given, otherwise
     ``original,fitted``. Floats are rendered with shortest round-trip
     precision, so reading the file back reproduces them exactly.
     """
-    if layout is None:
-        layout = CsvLayout()
     if len(original) != len(fitted):
         raise LengthMismatchError(
             f"original has {len(original)} values but fitted has {len(fitted)}"
@@ -269,7 +267,7 @@ def write_profile(
     if timestamps is not None:
         header.insert(0, "time")
         columns.insert(0, timestamps)
-    _write_csv(path, header, columns, layout.delimiter)
+    _write_csv(path, header, columns, delimiter)
 
 
 def write_report(path, report: FitReport) -> None:

@@ -130,10 +130,27 @@ def test_glob_expansion_and_deduplication(tmp_path) -> None:
     assert expanded == [str(tmp_path / "p1.csv"), str(tmp_path / "p2.csv")]
 
 
+def test_inputs_are_expanded_once_per_run(tmp_path, monkeypatch) -> None:
+    for i in range(2):
+        write_profile_csv(tmp_path / f"p{i}.csv", [0.2, 0.5, 0.8])
+    calls = []
+
+    def counting(patterns):
+        calls.append(patterns)
+        return expand_inputs(patterns)
+
+    monkeypatch.setattr(cli, "expand_inputs", counting)
+    code = main(
+        ["-i", str(tmp_path / "p*.csv"), "-t", "0.4", "-j", "1", "-o", str(tmp_path / "out")]
+    )
+    assert code == EXIT_OK
+    assert len(calls) == 1
+
+
 def test_resolve_targets_broadcast(tmp_path) -> None:
     paths = [str(tmp_path / f"f{i}.csv") for i in range(3)]
     config = CliConfig(inputs=paths, target=0.6)
-    assert resolve_targets(config) == {p: 0.6 for p in paths}
+    assert resolve_targets(config, paths) == {p: 0.6 for p in paths}
 
 
 def test_resolve_targets_manifest_overrides(tmp_path) -> None:
@@ -141,7 +158,7 @@ def test_resolve_targets_manifest_overrides(tmp_path) -> None:
     manifest = tmp_path / "targets.csv"
     manifest.write_text(f"path,target\n{a},0.55\n")
     config = CliConfig(inputs=[a, b], target=0.7, manifest=str(manifest))
-    assert resolve_targets(config) == {a: 0.55, b: 0.7}
+    assert resolve_targets(config, [a, b]) == {a: 0.55, b: 0.7}
 
 
 def test_resolve_targets_manifest_missing_entry(tmp_path) -> None:
@@ -150,7 +167,7 @@ def test_resolve_targets_manifest_missing_entry(tmp_path) -> None:
     manifest.write_text(f"path,target\n{a},0.55\n")
     config = CliConfig(inputs=[a, b], manifest=str(manifest))
     with pytest.raises(ManifestMissingEntryError) as excinfo:
-        resolve_targets(config)
+        resolve_targets(config, [a, b])
     assert excinfo.value.path == b
 
 
@@ -160,7 +177,7 @@ def test_resolve_targets_manifest_out_of_range(tmp_path) -> None:
     manifest.write_text(f"path,target\n{a},1.3\n")
     config = CliConfig(inputs=[a], manifest=str(manifest))
     with pytest.raises(TargetOutOfRangeError):
-        resolve_targets(config)
+        resolve_targets(config, [a])
 
 
 def test_manifest_run_exits_error_on_missing_entry(tmp_path, wind_csv) -> None:

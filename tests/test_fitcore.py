@@ -6,7 +6,6 @@ import pytest
 from profilefit.fitcore import (
     BracketNotFoundError,
     EmptyProfileError,
-    Feasibility,
     FitOptions,
     FitStatus,
     MaxIterationsExceededError,
@@ -23,7 +22,6 @@ from profilefit.fitcore import (
     mean_power,
     mean_power_derivative,
     profile_stats,
-    sigma_pow,
     validate_profile,
 )
 
@@ -101,17 +99,8 @@ def test_stats_all_ones() -> None:
 
 
 # ---------------------------------------------------------------------------
-# sigma_pow / mean_power / mean_power_derivative
+# mean_power / mean_power_derivative
 # ---------------------------------------------------------------------------
-
-def test_sigma_pow_zero_base_zero_exponent() -> None:
-    assert sigma_pow(0.0, 0.0) == 0.0  # overrides the 0**0 == 1 convention
-
-
-def test_sigma_pow_basics() -> None:
-    assert sigma_pow(1.0, 1000.0) == 1.0
-    assert sigma_pow(0.5, 2.0) == 0.25
-
 
 def test_mean_power_at_zero_is_nonzero_share() -> None:
     p = validate_profile([0, 0.3, 0.9])
@@ -155,19 +144,19 @@ def test_derivative_matches_closed_form_and_finite_difference() -> None:
 
 def test_classify_target_above_reachable_maximum() -> None:
     stats = ProfileStats(m=2, r=1, n=1, mean=0.5)
-    assert classify_feasibility(stats, 0.6) is Feasibility.INFEASIBLE_HIGH
+    assert classify_feasibility(stats, 0.6) is FitStatus.CLAMPED_LOW
 
 
 def test_classify_target_at_or_below_asymptote() -> None:
     stats = ProfileStats(m=4, r=4, n=2, mean=0.7)
-    assert classify_feasibility(stats, 0.4) is Feasibility.INFEASIBLE_LOW
-    assert classify_feasibility(stats, 0.5) is Feasibility.INFEASIBLE_LOW  # boundary
+    assert classify_feasibility(stats, 0.4) is FitStatus.CLAMPED_HIGH
+    assert classify_feasibility(stats, 0.5) is FitStatus.CLAMPED_HIGH  # mu == n/m
 
 
 def test_classify_feasible_band() -> None:
     stats = ProfileStats(m=3, r=3, n=0, mean=0.5)
-    assert classify_feasibility(stats, 0.6) is Feasibility.FEASIBLE
-    assert classify_feasibility(stats, 1.0) is Feasibility.FEASIBLE  # mu == r/m
+    assert classify_feasibility(stats, 0.6) is FitStatus.EXACT
+    assert classify_feasibility(stats, 1.0) is FitStatus.EXACT  # mu == r/m
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +318,6 @@ def test_solution_all_zero_profile_clamps_low_to_zero_mean() -> None:
     np.testing.assert_array_equal(fitted.values, [0.0, 0.0, 0.0])
 
 
-def test_solution_uses_options_target_when_mu_omitted() -> None:
-    opts = FitOptions(target_mu=0.25)
-    out = find_solution([0.5, 0.5], opts=opts)
-    assert out.exponent == 2.0
-
-
 def test_solution_propagates_bracket_not_found() -> None:
     with pytest.raises(BracketNotFoundError):
         find_solution([1 - 1e-9], 0.5)
@@ -397,6 +380,13 @@ def test_apply_exponent_rejects_negative_exponent() -> None:
         apply_exponent([0.5], -1.0)
 
 
+def test_apply_exponent_rejects_nan_but_takes_inf() -> None:
+    p = validate_profile([0, 0.5, 1])
+    with pytest.raises(ValueError):
+        apply_exponent(p, math.nan)  # would give [0, nan, 1]
+    np.testing.assert_array_equal(apply_exponent(p, math.inf).values, [0.0, 0.0, 1.0])
+
+
 # ---------------------------------------------------------------------------
 # boundary behaviour and options validation
 # ---------------------------------------------------------------------------
@@ -415,8 +405,6 @@ def test_mean_power_approaches_asymptote() -> None:
 
 
 def test_fit_options_validation() -> None:
-    with pytest.raises(TargetOutOfRangeError):
-        FitOptions(target_mu=1.0)
     with pytest.raises(ValueError):
         FitOptions(residual_tol=0.0)
     with pytest.raises(ValueError):

@@ -306,12 +306,12 @@ def test_write_profile_matches_csv_writer(tmp_path, delimiter, odd_stamp) -> Non
         # csv.writer leaves "\r" bare under a "\n" terminator; write_profile quotes it.
         want = want.replace(f"a\rb{delimiter}".encode(), f'"a\rb"{delimiter}'.encode())
     path = tmp_path / "out.csv"
-    write_profile(path, stamps, original, fitted, CsvLayout(delimiter=delimiter))
+    write_profile(path, stamps, original, fitted, delimiter=delimiter)
     assert path.read_bytes() == want
 
     rows = zip(original.values.tolist(), fitted.values.tolist())
     want = _csv_reference(["original", "fitted"], rows, delimiter)
-    write_profile(path, None, original, fitted, CsvLayout(delimiter=delimiter))
+    write_profile(path, None, original, fitted, delimiter=delimiter)
     assert path.read_bytes() == want
 
 

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from profilefit.fitcore import (
     BracketNotFoundError,
     FitStatus,
+    ProfileFitError,
     apply_exponent,
+    classify_feasibility,
     find_search_interval,
     find_solution,
     mean_power,
@@ -124,6 +126,16 @@ def test_fit_status_encodes_feasibility(values, mu) -> None:
         assert abs(out.achieved_mean - mu) <= 1e-10
 
 
+@given(any_values, st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+def test_fit_status_is_the_classified_one(values, mu) -> None:
+    p = validate_profile(values)
+    try:
+        out = find_solution(p, mu)
+    except ProfileFitError:
+        return
+    assert out.status is classify_feasibility(profile_stats(p), mu)
+
+
 @given(
     tame_values,
     st.one_of(
@@ -164,7 +176,7 @@ def test_fitted_profile_round_trips_through_csv(values, x) -> None:
     fitted = apply_exponent(p, x)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fit.csv"
-        write_profile(path, None, p, fitted, CsvLayout())
+        write_profile(path, None, p, fitted, delimiter=",")
         layout = CsvLayout(preamble_lines=0, value_column="fitted", time_column=None)
         back, timestamps = read_profile(path, layout)
         assert timestamps is None
@@ -198,7 +210,7 @@ def test_read_returns_what_write_wrote(rows, x, delimiter) -> None:
     fitted = apply_exponent(p, x)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fit.csv"
-        write_profile(path, stamps, p, fitted, CsvLayout(delimiter=delimiter))
+        write_profile(path, stamps, p, fitted, delimiter=delimiter)
         for column, want in (("original", p), ("fitted", fitted)):
             layout = CsvLayout(preamble_lines=0, value_column=column, delimiter=delimiter)
             back, back_stamps = read_profile(path, layout)

@@ -75,20 +75,21 @@ def _default_jobs() -> int:
 
 @dataclass
 class CliConfig:
-    """Resolved command-line options for one batch run."""
+    """Resolved command-line options for one batch run.
+
+    ``layout`` and ``options`` check their own values when built, so a
+    config made in code obeys the same rules as one parsed from argv.
+    """
 
     inputs: list[str]
     target: float | None = None
     manifest: str | None = None
-    column: str = CsvLayout.value_column
-    preamble_lines: int = CsvLayout.preamble_lines
-    delimiter: str = CsvLayout.delimiter
+    layout: CsvLayout = CsvLayout()
+    options: FitOptions = FitOptions()
     out_dir: str = "."
     emit_plot_data: bool = False
     allow_clamp: bool = False
     jobs: int = field(default_factory=_default_jobs)
-    residual_tol: float = FitOptions.residual_tol
-    large_exponent: float = FitOptions.large_exponent
 
 
 def expand_inputs(patterns: list[str]) -> list[str]:
@@ -154,15 +155,11 @@ class _FileResult:
     error: str | None = None
 
 
-def _fit_one(path: str, mu: float, layout: CsvLayout, config: CliConfig) -> _FileResult:
+def _fit_one(path: str, mu: float, config: CliConfig) -> _FileResult:
     try:
-        profile, timestamps = read_profile(path, layout)
-        opts = FitOptions(
-            residual_tol=config.residual_tol,
-            large_exponent=config.large_exponent,
-        )
+        profile, timestamps = read_profile(path, config.layout)
         start = time.perf_counter()
-        outcome = find_solution(profile, mu, opts)
+        outcome = find_solution(profile, mu, config.options)
         fitted = apply_exponent(profile, outcome.exponent)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         stats = outcome.stats
@@ -171,7 +168,7 @@ def _fit_one(path: str, mu: float, layout: CsvLayout, config: CliConfig) -> _Fil
         out_dir = Path(config.out_dir)
         write_profile(
             out_dir / f"{stem}_fitted.csv", timestamps, profile, fitted,
-            delimiter=layout.delimiter,
+            delimiter=config.layout.delimiter,
         )
         report = FitReport(
             input_path=str(path),
@@ -194,15 +191,11 @@ def _fit_one(path: str, mu: float, layout: CsvLayout, config: CliConfig) -> _Fil
         return _FileResult(path, error=f"{type(exc).__name__}: {exc}")
 
 
-def _fit_chunk(
-    paths: list[str], mus: list[float], layout: CsvLayout, config: CliConfig
-) -> list[_FileResult]:
-    return [_fit_one(p, mu, layout, config) for p, mu in zip(paths, mus)]
+def _fit_chunk(paths: list[str], mus: list[float], config: CliConfig) -> list[_FileResult]:
+    return [_fit_one(p, mu, config) for p, mu in zip(paths, mus)]
 
 
-def _fit_pooled(
-    paths: list[str], mus: list[float], layout: CsvLayout, config: CliConfig, jobs: int
-):
+def _fit_pooled(paths: list[str], mus: list[float], config: CliConfig, jobs: int):
     """Yield each file's result in input order, fitted on ``jobs`` worker processes.
 
     Files go out in chunks of about ``len(paths) / (4 * jobs)``. If a worker
@@ -226,7 +219,7 @@ def _fit_pooled(
         # a dead worker broke, dropping the chunks that did finish.
         parts = [slice(i, i + size) for i in range(0, len(paths), size)]
         pending = deque(
-            (part, pool.submit(_fit_chunk, paths[part], mus[part], layout, config))
+            (part, pool.submit(_fit_chunk, paths[part], mus[part], config))
             for part in parts
         )
         while pending:
@@ -268,19 +261,18 @@ def run_fit(config: CliConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    layout = CsvLayout(
-        preamble_lines=config.preamble_lines,
-        value_column=config.column,
-        delimiter=config.delimiter,
-    )
-    os.makedirs(config.out_dir, exist_ok=True)
+    try:
+        os.makedirs(config.out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
     jobs = max(1, min(config.jobs, len(paths)))
     mus = [targets[p] for p in paths]
     if jobs == 1:
-        results = _fit_chunk(paths, mus, layout, config)
+        results = _fit_chunk(paths, mus, config)
     else:
-        results = _fit_pooled(paths, mus, layout, config, jobs)
+        results = _fit_pooled(paths, mus, config, jobs)
 
     any_error = False
     any_clamp = False
@@ -425,30 +417,24 @@ def parse_args(argv: list[str] | None = None) -> CliConfig:
             jobs = _default_jobs()
     if jobs < 1:
         raise _UsageError("--jobs must be >= 1")
-    if ns.preamble_lines < 0:
-        raise _UsageError("--preamble-lines must be >= 0")
-    if len(ns.delimiter) != 1:
-        raise _UsageError("--delimiter must be a single character")
-    for flag, value in (
-        ("--residual-tol", ns.residual_tol),
-        ("--large-exponent", ns.large_exponent),
-    ):
-        if not (math.isfinite(value) and value > 0):
-            raise _UsageError(f"{flag} must be positive and finite, got {value!r}")
+    try:  # the layout and solver rules live in the types themselves
+        layout = CsvLayout(
+            preamble_lines=ns.preamble_lines, value_column=ns.column, delimiter=ns.delimiter
+        )
+        options = FitOptions(residual_tol=ns.residual_tol, large_exponent=ns.large_exponent)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
     return CliConfig(
         inputs=list(ns.inputs),
         target=ns.target,
         manifest=ns.manifest,
-        column=ns.column,
-        preamble_lines=ns.preamble_lines,
-        delimiter=ns.delimiter,
+        layout=layout,
+        options=options,
         out_dir=ns.out_dir,
         emit_plot_data=ns.emit_plot_data,
         allow_clamp=ns.allow_clamp,
         jobs=jobs,
-        residual_tol=ns.residual_tol,
-        large_exponent=ns.large_exponent,
     )
 
 

@@ -282,7 +282,8 @@ def write_plot_data(path_prefix, original: Profile, fitted: Profile) -> None:
 
     ``<prefix>_chronological.csv`` keeps input order; ``<prefix>_sorted.csv``
     sorts each column independently in descending order. Both carry
-    ``index,original,fitted`` with a 1-based index.
+    ``index,original,fitted`` with a 1-based index and are always
+    comma-delimited, whatever delimiter the input and ``_fitted.csv`` use.
     """
     if len(original) != len(fitted):
         raise LengthMismatchError(

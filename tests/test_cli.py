@@ -20,8 +20,10 @@ from profilefit.cli import (
     main,
     parse_args,
     resolve_targets,
+    run_fit,
 )
-from profilefit.fitcore import TargetOutOfRangeError
+from profilefit.fitcore import FitOptions, TargetOutOfRangeError
+from profilefit.profile_io import CsvLayout
 
 
 @pytest.fixture
@@ -229,14 +231,75 @@ def test_parallel_jobs_match_serial(tmp_path) -> None:
             assert a == b
 
 
-@pytest.mark.parametrize("flag", ["--residual-tol", "--large-exponent"])
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_non_finite_options_exit_64(tmp_path, wind_csv, flag, value, capsys) -> None:
+# Every layout and solver option at its boundary: (flag, value, the message of
+# the CsvLayout or FitOptions check that rejects it, which names its field).
+BAD_OPTIONS = [
+    ("--residual-tol", "nan", "residual_tol must be positive and finite"),
+    ("--large-exponent", "nan", "large_exponent must be positive and finite"),
+    ("--residual-tol", "inf", "residual_tol must be positive and finite"),
+    ("--large-exponent", "inf", "large_exponent must be positive and finite"),
+    ("--column", "", "value_column must be non-empty"),
+    ("--delimiter", ";;", "delimiter must be a single character"),
+    ("--preamble-lines", "-1", "preamble_lines must be >= 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "flag, value, message", BAD_OPTIONS, ids=[f"{v}-{f}" for f, v, _ in BAD_OPTIONS]
+)
+def test_non_finite_options_exit_64(tmp_path, wind_csv, flag, value, message, capsys) -> None:
     out_dir = tmp_path / "out"
     argv = ["-i", str(wind_csv), "-t", "0.6", "-o", str(out_dir), "--allow-clamp"]
     assert main(argv + [flag, value]) == EXIT_USAGE
-    assert f"{flag} must be positive and finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage error" in err
+    assert message in err
     assert not out_dir.exists()
+
+
+def test_out_dir_that_is_a_file_exits_error(tmp_path, wind_csv, capsys) -> None:
+    somefile = tmp_path / "somefile"
+    somefile.write_text("not a directory\n")
+    for out_dir in (somefile, somefile / "sub"):
+        assert main(["-i", str(wind_csv), "-t", "0.6", "-o", str(out_dir)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(somefile) in err
+    assert somefile.read_text() == "not a directory\n"
+
+
+def test_run_fit_takes_layout_and_options_from_code(tmp_path) -> None:
+    rng = np.random.default_rng(11)
+    path = write_profile_csv(tmp_path / "semi.csv", rng.uniform(0, 1, size=200), delimiter=";")
+    out_dir = tmp_path / "out"
+    config = CliConfig(
+        inputs=[str(path)],
+        target=0.3,
+        layout=CsvLayout(delimiter=";"),
+        options=FitOptions(residual_tol=1e-8),
+        jobs=1,
+        out_dir=str(out_dir),
+    )
+    assert run_fit(config) == EXIT_OK
+    lines = (out_dir / "semi_fitted.csv").read_text().splitlines()
+    assert lines[0] == "time;original;fitted"
+    assert all(line.count(";") == 2 and "," not in line for line in lines)
+    report = json.loads((out_dir / "semi_report.json").read_text())
+    assert report["status"] == "exact"
+    assert abs(report["achieved_cf"] - 0.3) <= 1e-8
+
+
+def test_plot_data_keeps_commas_whatever_the_delimiter(tmp_path) -> None:
+    path = write_profile_csv(tmp_path / "semi.csv", [0.2, 0.5, 0.8], delimiter=";")
+    out_dir = tmp_path / "out"
+    argv = ["-i", str(path), "-t", "0.4", "-o", str(out_dir), "--delimiter", ";", "--plot-data"]
+    assert main(argv) == EXIT_OK
+    fitted = (out_dir / "semi_fitted.csv").read_text().splitlines()
+    assert fitted[0] == "time;original;fitted"
+    assert all(line.count(";") == 2 and "," not in line for line in fitted)
+    for suffix in ("_chronological.csv", "_sorted.csv"):
+        plot = (out_dir / f"semi{suffix}").read_text().splitlines()
+        assert plot[0] == "index,original,fitted"
+        assert all(line.count(",") == 2 and ";" not in line for line in plot)
 
 
 def test_csv_error_in_one_file_does_not_stop_batch(tmp_path, capsys) -> None:

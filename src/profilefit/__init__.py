@@ -6,7 +6,6 @@ values while leaving zeros and ones untouched.
 """
 
 from .fitcore import (
-    BracketNotFoundError,
     EmptyProfileError,
     FitOptions,
     FitOutcome,
@@ -44,7 +43,6 @@ from .profile_io import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BracketNotFoundError",
     "CsvLayout",
     "CsvParseError",
     "EmptyProfileError",

@@ -7,12 +7,12 @@ positive value to a common exponent x >= 0 moves the profile mean
 
 monotonically from r/m at x = 0 (r = count of nonzero values) down to
 n/m as x grows (n = count of values equal to 1). Fitting a target mean
-mu therefore reduces to a scalar root solve of S(x) = mu, which this
-module performs with a doubling bracket search followed by a safeguarded
-Newton iteration (:func:`bisect_root`, named after the plain bisection it
-replaced). S is convex and decreasing, so Newton steps from the left end
-of the bracket approach the root from one side; a bisection step is taken
-only when a Newton step is undefined or leaves the bracket.
+mu therefore reduces to a scalar root solve of S(x) = mu: a closed-form
+bracket (:func:`find_search_interval`), so no root is out of reach, then a
+safeguarded Newton iteration (:func:`bisect_root`, named after the plain
+bisection it replaced). S is convex and decreasing, so Newton steps from
+the left end of the bracket approach the root from one side; a bisection
+step is taken only when a Newton step is undefined or leaves the bracket.
 Targets outside the reachable band (n/m, r/m] are clamped to x = 0 or
 to a large fallback exponent; :func:`classify_feasibility` gives the
 :class:`FitStatus` of each case.
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "BracketNotFoundError",
     "EmptyProfileError",
     "FitOptions",
     "FitOutcome",
@@ -100,24 +99,6 @@ class TargetOutOfRangeError(ProfileFitError):
         super().__init__(f"target capacity factor {value!r}{origin} must lie in (0, 1)")
 
 
-class BracketNotFoundError(ProfileFitError):
-    """The doubling search hit the exponent cap without straddling the target.
-
-    Raised for targets that pass the feasibility test but need an exponent
-    beyond the configured cap, e.g. profiles whose values sit just below 1.
-    """
-
-    def __init__(self, mu: float, limit: float, last_mean: float):
-        self.mu = mu
-        self.limit = limit
-        self.last_mean = last_mean  # S(limit), the mean at the cap
-        super().__init__(
-            f"no sign change up to exponent {limit:g}: target {mu:g} "
-            f"vs mean {last_mean:g} at exponent {limit:g}; the target may "
-            f"only be reachable with a larger exponent cap"
-        )
-
-
 class MaxIterationsExceededError(ProfileFitError):
     def __init__(self, max_iter: int):
         self.max_iter = max_iter
@@ -133,16 +114,15 @@ class Profile:
     """A validated per-unit availability series.
 
     Holds a read-only float64 array with every value in [0, 1]. Construct
-    through :func:`validate_profile`; code that builds values known to be
-    in range (e.g. :func:`apply_exponent`) may construct directly.
+    through :func:`validate_profile`; code that builds a new float64 array
+    of values known to be in range (e.g. :func:`apply_exponent`) may hand
+    it over directly. The array is not copied, only made read-only.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        self.values.setflags(write=False)
 
     def __len__(self) -> int:
         return self.values.size
@@ -170,7 +150,7 @@ class ProfileStats:
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Knobs for the root solve and its clamping fallback."""
+    """Knobs for the root solve, and the exponent of a ``CLAMPED_HIGH`` fit."""
 
     residual_tol: float = 1e-10
     interval_tol: float = 1e-12
@@ -212,11 +192,12 @@ def validate_profile(values) -> Profile:
     """Check a sequence of numbers and wrap it as a :class:`Profile`.
 
     Every value must be finite and within [0, 1], and the sequence must be
-    non-empty. Input order is preserved. Raises :class:`EmptyProfileError`,
-    :class:`NonFiniteValueError` or :class:`ValueOutOfRangeError` on the
-    first offending value.
+    non-empty. Input order is preserved. The profile holds its own float64
+    copy, so a caller's array is neither aliased nor made read-only. Raises
+    :class:`EmptyProfileError`, :class:`NonFiniteValueError` or
+    :class:`ValueOutOfRangeError` on the first offending value.
     """
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.array(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D sequence of values, got shape {arr.shape}")
     if arr.size == 0:
@@ -284,34 +265,42 @@ def classify_feasibility(stats: ProfileStats, mu: float) -> FitStatus:
     return FitStatus.EXACT
 
 
-def find_search_interval(
-    p: Profile, mu: float, opts: FitOptions | None = None
-) -> tuple[float, float]:
-    """Bracket the root of S(x) - mu on the doubling sequence 0, 1, 2, 4, 8, ...
+# Each bracket end moves out by this many units of b + mu / ((mu - n/m) * |l_max|).
+# Rounding q, the logs and S (a sum of p ** x) moves the computed ends, or
+# the root as computed, by a few eps of those units. Random, near-constant
+# and annual-like profiles, with targets up to 1e-16 of the band's edges,
+# needed at most 8 eps for S(a) >= mu >= S(b) to hold as computed.
+_BRACKET_SLACK = 64.0 * math.ulp(1.0)
 
-    Returns consecutive sequence points (a, b) with a sign change of
-    S(x) - mu between them, or a degenerate (v, v) when a sequence point
-    hits the target exactly. The sequence is cut at ``opts.large_exponent``,
-    which is probed itself as the last point; if no sign change occurred
-    by then, :class:`BracketNotFoundError` is raised.
+
+def find_search_interval(p: Profile, mu: float) -> tuple[float, float]:
+    """Bracket the root of S(x) = mu in closed form, without evaluating S.
+
+    With k values in (0, 1), l_mean and l_max the mean and the largest of
+    their logs and q = (mu - n/m) * m / k, the root solves
+    mean(exp(x * log p)) = q over those k values. Jensen's inequality, and
+    p <= exp(l_max), put it in [log q / l_mean, log q / l_max], however
+    large it is. Both ends move out by a rounding slack, so S(a) >= mu >= S(b)
+    holds for S computed as ``p ** x`` also where the bounds meet, as for a
+    constant profile. mu = r/m gives (0.0, 0.0), and a target outside the
+    band (n/m, r/m] raises ValueError.
     """
-    if opts is None:
-        opts = FitOptions()
-    fa = mean_power(p, 0.0) - mu
-    if fa == 0.0:
+    v = p.values
+    m = v.size
+    lp = np.log(v[v > 0.0])
+    inner = lp[lp < 0.0]  # log p over 0 < p < 1; each 1 has log 0
+    k = inner.size
+    asymptote, reachable = (lp.size - k) / m, lp.size / m
+    if not asymptote < mu <= reachable:
+        raise ValueError(f"target mean {mu!r} is outside the band ({asymptote!r}, {reachable!r}]")
+    if mu == reachable:
         return (0.0, 0.0)
-    cap = opts.large_exponent
-    a, b = 0.0, min(1.0, cap)
-    while True:
-        fb = mean_power(p, b) - mu
-        if fb == 0.0:
-            return (b, b)
-        if fa * fb < 0.0:
-            return (a, b)
-        if b == cap:
-            raise BracketNotFoundError(mu, cap, last_mean=fb + mu)
-        a, fa = b, fb
-        b = min(2.0 * b, cap)
+    excess = mu - asymptote
+    log_q = min(math.log(excess * m / k), 0.0)
+    l_max = float(inner.max())
+    b = log_q / l_max
+    slack = _BRACKET_SLACK * (b + mu / excess / -l_max)  # no underflow for a subnormal mu
+    return (max(0.0, log_q / float(inner.mean()) - slack), b + slack)
 
 
 def bisect_root(
@@ -320,40 +309,32 @@ def bisect_root(
     a: float,
     b: float,
     opts: FitOptions | None = None,
-) -> tuple[float, int]:
-    """Solve S(x) = mu on a sign-changing bracket [a, b] by safeguarded Newton.
+) -> tuple[float, int, float]:
+    """Solve S(x) = mu on a bracket [a, b] with S(a) >= mu >= S(b).
 
-    The name is kept from the plain bisection this replaced. ``log p`` is
-    built once; each step evaluates ``e = exp(x * log p)`` once and reads
-    both S(x) and S'(x) from it. Newton starts at ``a``: S is convex and
-    decreasing, so from a point where S > mu the step never passes the
-    root. The step falls back to the bracket midpoint whenever it is
+    Returns ``(x, iterations, S(x))``, with S(x) as :func:`mean_power`
+    computes it. The name is kept from the plain bisection this replaced.
+    ``log p`` is taken once; each step evaluates ``e = exp(x * log p)`` once
+    and reads both S(x) and S'(x) from it. Newton starts at ``a``, whose
+    residual also checks the bracket: S is convex and decreasing, so from a
+    point where S > mu the step never passes the root, and it reaches ``b``
+    only if the root lies there or beyond, which is checked once the
+    bracket shrinks onto ``b``. A bracket that does not straddle mu raises
+    ValueError. The step falls back to the bracket midpoint whenever it is
     undefined, not finite or outside the current bracket (lo, hi).
 
-    Stops when |S(x) - mu| <= residual_tol holds for :func:`mean_power`
-    itself (the exp form may differ from ``p ** x`` in the last bits), or
-    when the bracket has shrunk to interval_tol. A degenerate bracket
-    (a == b) returns a immediately with zero iterations. Raises
-    :class:`MaxIterationsExceededError` if neither tolerance is met within
-    ``opts.max_bisect_iter`` steps.
+    Once the exp-form residual is within residual_tol / 2 (at ``a``, after
+    zero iterations), the Newton step from it, which needs no exp, is
+    returned if |S(x) - mu| <= residual_tol holds there for
+    :func:`mean_power` itself. It also stops when the bracket has shrunk to
+    interval_tol. Raises :class:`MaxIterationsExceededError` if neither
+    tolerance is met within ``opts.max_bisect_iter`` steps.
     """
     if opts is None:
         opts = FitOptions()
     if a > b:
         raise ValueError(f"invalid bracket: a={a!r} > b={b!r}")
-    if a == b:
-        return (float(a), 0)
     tol = opts.residual_tol
-    fa = mean_power(p, a) - mu
-    if abs(fa) <= tol:
-        return (float(a), 0)
-    fb = mean_power(p, b) - mu
-    if abs(fb) <= tol:
-        return (float(b), 0)
-    if fa * fb > 0.0:
-        raise ValueError(
-            f"bracket [{a!r}, {b!r}] does not straddle the target mean {mu!r}"
-        )
     v = p.values
     lp = np.log(v[v > 0.0])
     m = v.size
@@ -362,22 +343,36 @@ def bisect_root(
         e = np.exp(x * lp)
         return float(e.sum() / m - mu), float(e.dot(lp) / m)
 
-    lo, hi, flo = float(a), float(b), fa
+    def no_straddle() -> ValueError:
+        return ValueError(f"bracket [{a!r}, {b!r}] does not straddle the target mean {mu!r}")
+
+    lo, hi = float(a), float(b)
     x = lo
     f, slope = residual_and_slope(x)
-    for iteration in range(1, opts.max_bisect_iter + 1):
-        x = x - f / slope if slope != 0.0 else math.nan
-        if not lo < x < hi:  # also catches nan
-            x = 0.5 * (lo + hi)
-        f, slope = residual_and_slope(x)
-        if abs(f) <= 0.5 * tol and abs(mean_power(p, x) - mu) <= tol:
-            return (x, iteration)
-        if (flo > 0.0) == (f > 0.0):
-            lo, flo = x, f
+    if f < -0.5 * tol:
+        raise no_straddle()
+    for iteration in range(opts.max_bisect_iter + 1):
+        if iteration:
+            x = x - f / slope if slope != 0.0 else math.nan
+            if not lo < x < hi:  # also catches nan
+                x = 0.5 * (lo + hi)
+            f, slope = residual_and_slope(x)
+        if abs(f) <= 0.5 * tol:
+            # One more Newton step from this residual needs no exp, and lands
+            # within rounding of the root rather than within the tolerance.
+            root = min(max(x - f / slope, lo), hi) if slope != 0.0 else x
+            achieved = mean_power(p, root)
+            if abs(achieved - mu) <= tol:
+                return (root, iteration, achieved)
+        if f > 0.0:
+            lo = x
         else:
             hi = x
         if hi - lo <= opts.interval_tol:
-            return (0.5 * (lo + hi), iteration)
+            if hi == b and residual_and_slope(b)[0] > 0.0:
+                raise no_straddle()
+            x = 0.5 * (lo + hi)
+            return (x, iteration, mean_power(p, x))
     raise MaxIterationsExceededError(opts.max_bisect_iter)
 
 
@@ -387,8 +382,9 @@ def find_solution(p, mu: float, opts: FitOptions | None = None) -> FitOutcome:
     ``p`` may be a :class:`Profile` or any raw sequence, which is validated
     first; ``mu`` must lie in (0, 1), else :class:`TargetOutOfRangeError`.
     The status is :func:`classify_feasibility`'s: targets in (n/m, r/m] are
-    solved exactly (bracket + safeguarded Newton); a target above r/m clamps
-    to exponent 0, a target at or below n/m to ``opts.large_exponent``.
+    solved exactly (closed-form bracket + safeguarded Newton), whatever the
+    size of the root; a target above r/m clamps to exponent 0, a target at
+    or below n/m to ``opts.large_exponent``.
     The outcome carries the profile's :class:`ProfileStats`.
     """
     if not isinstance(p, Profile):
@@ -411,11 +407,11 @@ def find_solution(p, mu: float, opts: FitOptions | None = None) -> FitOutcome:
             stats=stats,
         )
 
-    a, b = find_search_interval(p, mu, opts)
-    x, iterations = bisect_root(p, mu, a, b, opts)
+    a, b = find_search_interval(p, mu)
+    x, iterations, achieved = bisect_root(p, mu, a, b, opts)
     return FitOutcome(
-        exponent=float(x),
-        achieved_mean=mean_power(p, x),
+        exponent=x,
+        achieved_mean=achieved,
         status=FitStatus.EXACT,
         iterations=iterations,
         bracket=(a, b),

@@ -136,7 +136,7 @@ def read_profile(
         values, timestamps, lines = parsed
 
         try:
-            profile = validate_profile(np.asarray(values, dtype=np.float64))
+            profile = validate_profile(values)
         except (NonFiniteValueError, ValueOutOfRangeError) as exc:
             # The fast path keeps no line numbers; its rows parse, so reread them.
             if lines is None:

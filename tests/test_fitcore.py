@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from profilefit.fitcore import (
-    BracketNotFoundError,
     EmptyProfileError,
     FitOptions,
     FitStatus,
@@ -72,6 +71,15 @@ def test_profile_values_are_read_only() -> None:
     p = validate_profile([0.5, 0.6])
     with pytest.raises(ValueError):
         p.values[0] = 0.9
+
+
+def test_validate_neither_aliases_nor_freezes_the_callers_array() -> None:
+    arr = np.array([0.5, 0.6])
+    p = validate_profile(arr)
+    assert not np.shares_memory(p.values, arr)
+    assert arr.flags.writeable
+    arr[0] = 0.9
+    assert p.values[0] == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -163,55 +171,89 @@ def test_classify_feasible_band() -> None:
 # find_search_interval
 # ---------------------------------------------------------------------------
 
+def _assert_bracket_holds_root(p, mu, opts=None):
+    """The bracket's contract: a <= b, S(a) >= mu >= S(b) with S as
+    ``p ** x``, and the fit finds the root inside it to the residual."""
+    a, b = find_search_interval(p, mu)
+    assert 0.0 <= a <= b
+    assert mean_power(p, a) >= mu >= mean_power(p, b)
+    out = find_solution(p, mu, opts)
+    assert out.status is FitStatus.EXACT
+    assert out.bracket == (a, b)
+    assert a <= out.exponent <= b
+    assert abs(mean_power(p, out.exponent) - mu) <= 1e-10
+    assert out.achieved_mean == mean_power(p, out.exponent)
+    return a, b, out
+
+
 def test_bracket_first_interval() -> None:
-    p = validate_profile([0.25, 0.5, 0.75])
-    assert find_search_interval(p, 0.6) == (0.0, 1.0)
+    # Doubling bracketed this root (0.710) in (0, 1). The closed form's left
+    # end, where Newton starts, is closer to it: 0.647.
+    a, b, out = _assert_bracket_holds_root(validate_profile([0.25, 0.5, 0.75]), 0.6)
+    assert 0.6 < a < out.exponent < b
 
 
 def test_bracket_after_doubling() -> None:
-    p = validate_profile([0.5, 0.5])
-    assert find_search_interval(p, 0.2) == (2.0, 4.0)
+    # Doubling bracketed log2(5) = 2.32 in (2, 4). Both closed-form bounds
+    # are exact for a constant profile, so the bracket pins the root.
+    a, b, out = _assert_bracket_holds_root(validate_profile([0.5, 0.5]), 0.2)
+    assert 2.0 < a < b < 4.0
+    assert b - a <= 1e-12
+    assert out.exponent == pytest.approx(math.log2(5.0), rel=1e-12)
 
 
 def test_bracket_degenerate_on_exact_hit() -> None:
-    p = validate_profile([0.5])
-    assert find_search_interval(p, 0.5) == (1.0, 1.0)
+    # Root 1 exactly: the bracket shrinks to the rounding slack around it.
+    a, b, out = _assert_bracket_holds_root(validate_profile([0.5]), 0.5)
+    assert a <= 1.0 <= b
+    assert b - a <= 1e-12
+    assert out.iterations == 0
 
 
 def test_bracket_degenerate_at_zero() -> None:
-    # mu == r/m exactly: the root is x = 0 itself.
+    # mu == r/m exactly: the root is x = 0 itself, and +0.0, not -0.0,
+    # which a report would print as "exponent": -0.0.
     p = validate_profile([0, 0.5])
-    assert find_search_interval(p, 0.5) == (0.0, 0.0)
-
-
-def test_bracket_not_found_past_cap() -> None:
-    # Value just below 1: the root sits far beyond the exponent cap.
-    p = validate_profile([1 - 1e-9])
-    with pytest.raises(BracketNotFoundError) as excinfo:
-        find_search_interval(p, 0.5)
-    assert excinfo.value.limit == 1000.0
-    assert excinfo.value.last_mean == mean_power(p, 1000.0)
-
-
-def test_bracket_respects_custom_cap() -> None:
-    p = validate_profile([0.5, 0.5])
-    opts = FitOptions(large_exponent=3.0)
-    # Root for mu=0.1 is log2(10) = 3.32, beyond the cap of 3.
-    with pytest.raises(BracketNotFoundError):
-        find_search_interval(p, 0.1, opts)
-    # Root for mu=0.2 is log2(5) = 2.32: the cap itself closes the bracket.
-    assert find_search_interval(p, 0.2, opts) == (2.0, 3.0)
-
-
-def test_bracket_probes_the_cap() -> None:
-    # S(512) = 0.600 > 0.5 > S(1000) = 0.368: the root lies between the last
-    # doubling point and the cap.
-    p = validate_profile([0.999] * 999 + [1.0])
-    assert find_search_interval(p, 0.5) == (512.0, 1000.0)
+    a, b = find_search_interval(p, 0.5)
+    assert (a, b) == (0.0, 0.0)
+    assert math.copysign(1.0, a) == math.copysign(1.0, b) == 1.0
     out = find_solution(p, 0.5)
     assert out.status is FitStatus.EXACT
-    assert 512.0 < out.exponent < 1000.0
-    assert abs(out.achieved_mean - 0.5) <= 1e-10
+    assert (out.exponent, out.iterations, out.achieved_mean) == (0.0, 0, 0.5)
+    assert math.copysign(1.0, out.exponent) == 1.0
+
+
+@pytest.mark.parametrize(
+    ("values", "mu", "root"),
+    [
+        # One value just below 1: the root is far beyond the old cap of 1000.
+        pytest.param([1 - 1e-9], 0.5, math.log(0.5) / math.log1p(-1e-9), id="one_value_below_1"),
+        # S(512) = 0.600 > 0.5 > S(1000) = 0.368: the root lies below the old cap.
+        pytest.param([0.999] * 999 + [1.0], 0.5, 693.8, id="below_the_old_cap"),
+        # Above the old cap, and every value below 1 is equal, so the two
+        # bounds differ by one ulp and came out in the wrong order unslacked.
+        pytest.param([0.999] * 999 + [1.0], 0.3, 1205.7079490790087, id="equal_bounds"),
+    ],
+)
+def test_bracket_holds_roots_past_the_old_cap(values, mu, root) -> None:
+    a, b, out = _assert_bracket_holds_root(validate_profile(values), mu)
+    assert out.exponent == pytest.approx(root, rel=1e-4)
+
+
+def test_large_exponent_does_not_cap_exact_roots() -> None:
+    opts = FitOptions(large_exponent=3.0)
+    # Root for mu=0.1 is log2(10) = 3.32, beyond the large exponent of 3.
+    a, b, out = _assert_bracket_holds_root(validate_profile([0.5, 0.5]), 0.1, opts)
+    assert out.exponent == pytest.approx(math.log2(10.0), rel=1e-12)
+    # large_exponent is only the exponent of a clamped_high fit.
+    high = find_solution([1.0, 0.5], 0.5, opts)
+    assert (high.status, high.exponent) == (FitStatus.CLAMPED_HIGH, 3.0)
+
+
+@pytest.mark.parametrize("mu", [0.8, 0.5, 0.4])  # above r/m, at n/m, below n/m
+def test_bracket_rejects_target_outside_the_band(mu) -> None:
+    with pytest.raises(ValueError, match="outside the band"):
+        find_search_interval(validate_profile([0.0, 0.5, 1.0, 1.0]), mu)
 
 
 # ---------------------------------------------------------------------------
@@ -220,28 +262,31 @@ def test_bracket_probes_the_cap() -> None:
 
 def test_bisect_endpoint_hit_returns_immediately() -> None:
     p = validate_profile([0.5, 0.5])
-    x, iterations = bisect_root(p, 0.25, 1.0, 2.0)
-    assert x == 2.0
-    assert iterations == 0
+    assert bisect_root(p, 0.25, 2.0, 3.0) == (2.0, 0, 0.25)
+    # The right end is not evaluated up front; Newton reaches a root there.
+    x, iterations, achieved = bisect_root(p, 0.25, 1.0, 2.0)
+    assert abs(achieved - 0.25) <= 1e-10
+    assert x == pytest.approx(2.0, rel=1e-9)
 
 
 def test_bisect_matches_grid_oracle() -> None:
     p = validate_profile([0.25, 0.5, 0.75])
-    x, iterations = bisect_root(p, 0.6, 0.0, 1.0)
+    x, iterations, achieved = bisect_root(p, 0.6, 0.0, 1.0)
     assert x == pytest.approx(GRID_ORACLE_X, abs=1e-6)
-    assert abs(mean_power(p, x) - 0.6) <= 1e-10
+    assert achieved == mean_power(p, x)
+    assert abs(achieved - 0.6) <= 1e-10
     assert iterations > 0
 
 
 def test_bisect_degenerate_bracket() -> None:
     p = validate_profile([0.5])
-    assert bisect_root(p, 0.5, 1.0, 1.0) == (1.0, 0)
+    assert bisect_root(p, 0.5, 1.0, 1.0) == (1.0, 0, 0.5)
 
 
 def test_bisect_can_stop_on_interval_width() -> None:
     p = validate_profile([0.25, 0.5, 0.75])
     opts = FitOptions(residual_tol=1e-300, interval_tol=1e-6)
-    x, iterations = bisect_root(p, 0.6, 0.0, 1.0, opts)
+    x, iterations, _ = bisect_root(p, 0.6, 0.0, 1.0, opts)
     assert x == pytest.approx(GRID_ORACLE_X, abs=1e-5)
     assert iterations <= 25  # bracket width 1 halves below 1e-6 in ~20 steps
 
@@ -257,8 +302,12 @@ def test_bisect_iteration_cap() -> None:
 
 def test_bisect_rejects_sign_preserving_bracket() -> None:
     p = validate_profile([0.25, 0.5, 0.75])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not straddle"):
         bisect_root(p, 0.6, 2.0, 4.0)  # S < mu on both endpoints
+    with pytest.raises(ValueError, match="does not straddle"):
+        bisect_root(p, 0.6, 0.0, 0.5)  # S > mu on both endpoints
+    with pytest.raises(ValueError, match="does not straddle"):
+        bisect_root(p, 0.6, 0.5, 0.5)  # a degenerate bracket off the root
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +333,15 @@ def test_solution_clamps_high_at_asymptote() -> None:
 def test_solution_exact_analytic_root() -> None:
     out = find_solution([0.5, 0.5], 0.25)
     assert out.status is FitStatus.EXACT
-    assert out.exponent == 2.0
-    assert out.achieved_mean == 0.25
+    # The bracket is the root widened by its rounding slack. Its left end
+    # already meets the residual, so no step is taken, and the Newton
+    # correction from there lands within rounding of the root.
+    assert out.exponent == pytest.approx(2.0, rel=1e-15)
+    assert abs(out.achieved_mean - 0.25) <= 1e-15
     assert out.iterations == 0
-    assert out.bracket == (2.0, 2.0)
+    a, b = out.bracket
+    assert a <= 2.0 <= b
+    assert b - a <= 1e-12
 
 
 def test_solution_matches_grid_oracle() -> None:
@@ -295,7 +349,8 @@ def test_solution_matches_grid_oracle() -> None:
     assert out.status is FitStatus.EXACT
     assert out.exponent == pytest.approx(GRID_ORACLE_X, abs=1e-6)
     assert abs(out.achieved_mean - 0.6) <= 1e-10
-    assert out.bracket == (0.0, 1.0)
+    a, b = out.bracket
+    assert 0.0 < a <= out.exponent <= b
 
 
 def test_solution_rejects_target_outside_open_interval() -> None:
@@ -318,11 +373,6 @@ def test_solution_all_zero_profile_clamps_low_to_zero_mean() -> None:
     np.testing.assert_array_equal(fitted.values, [0.0, 0.0, 0.0])
 
 
-def test_solution_propagates_bracket_not_found() -> None:
-    with pytest.raises(BracketNotFoundError):
-        find_solution([1 - 1e-9], 0.5)
-
-
 def _baseload_year() -> np.ndarray:
     """Hourly values 1 - |N(0, 0.01)| at 3 decimals, with a two-week outage."""
     rng = np.random.default_rng(3)
@@ -334,13 +384,13 @@ def _baseload_year() -> np.ndarray:
 @pytest.mark.parametrize(
     ("values", "mu"),
     [
-        ([0.999] * 999 + [1.0], 0.5),  # root 693.8, bracket (512, 1000)
-        (_baseload_year(), 0.2),  # root 355.6, bracket (256, 512)
-        (_baseload_year(), 0.3),  # root 216.9, bracket (128, 256)
+        ([0.999] * 999 + [1.0], 0.5),  # root 693.8, doubling bracket (512, 1000)
+        (_baseload_year(), 0.2),  # root 355.6, doubling bracket (256, 512)
+        (_baseload_year(), 0.3),  # root 216.9, doubling bracket (128, 256)
     ],
 )
 def test_solution_converges_in_few_steps(values, mu) -> None:
-    # Plain bisection needs 25-30 halvings on these wide brackets.
+    # Plain bisection needs 25-30 halvings on the doubling brackets.
     p = validate_profile(values)
     out = find_solution(p, mu)
     assert out.status is FitStatus.EXACT

@@ -1,5 +1,6 @@
 """Property tests for the numerical core invariants."""
 
+import math
 import sys
 
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from profilefit.fitcore import (
-    BracketNotFoundError,
     FitStatus,
     ProfileFitError,
     apply_exponent,
@@ -92,13 +92,11 @@ def test_search_interval_straddles_target(values, band_fraction) -> None:
     mu = s.asymptote + band_fraction * (s.max_reachable - s.asymptote)
     assume(0.0 < mu < 1.0)
     assume(s.asymptote < mu <= s.max_reachable)
-    try:
-        a, b = find_search_interval(p, mu)
-    except BracketNotFoundError:
-        return  # contractually allowed: root beyond the exponent cap
+    a, b = find_search_interval(p, mu)
+    assert 0.0 <= a <= b
     fa = mean_power(p, a) - mu
     fb = mean_power(p, b) - mu
-    assert fa * fb <= 0.0
+    assert fa >= 0.0 >= fb
     if a == b:
         assert fa == 0.0
 
@@ -110,10 +108,7 @@ def test_search_interval_straddles_target(values, band_fraction) -> None:
 def test_fit_status_encodes_feasibility(values, mu) -> None:
     p = validate_profile(values)
     s = profile_stats(p)
-    try:
-        out = find_solution(p, mu)
-    except BracketNotFoundError:
-        return
+    out = find_solution(p, mu)
     if out.status is FitStatus.CLAMPED_LOW:
         assert mu > s.max_reachable
         assert out.exponent == 0.0
@@ -151,12 +146,52 @@ def test_exact_fit_lies_in_its_bracket_and_meets_the_residual(values, band_fract
     mu = s.asymptote + band_fraction * (s.max_reachable - s.asymptote)
     assume(0.0 < mu < 1.0)
     assume(s.asymptote < mu <= s.max_reachable)
-    try:
-        out = find_solution(p, mu)
-    except BracketNotFoundError:
-        return  # contractually allowed: root beyond the exponent cap
+    out = find_solution(p, mu)
     assert out.status is FitStatus.EXACT
     a, b = out.bracket
+    assert a <= out.exponent <= b
+    assert abs(mean_power(p, out.exponent) - mu) <= 1e-10
+
+
+@st.composite
+def near_constant_values(draw):
+    """Values within a few ulps of one base, some of them replaced by 1 or 0.
+
+    The two closed-form bounds of the bracket then meet, so only its
+    rounding slack keeps the target straddled.
+    """
+    base = draw(st.floats(min_value=1e-300, max_value=1.0, exclude_max=True))
+    size = draw(st.integers(min_value=1, max_value=60))
+    offsets = draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size))
+    values = [min(max(base + k * math.ulp(base), 0.0), 1.0) for k in offsets]
+    ones = draw(st.integers(min_value=0, max_value=size))
+    zeros = draw(st.integers(min_value=0, max_value=size - ones))
+    values[:ones] = [1.0] * ones
+    values[ones:ones + zeros] = [0.0] * zeros
+    return values
+
+
+@given(
+    near_constant_values(),
+    st.one_of(
+        # Targets next to the asymptote n/m, and across the whole band.
+        st.floats(min_value=1e-12, max_value=1e-2),
+        st.floats(min_value=1e-6, max_value=1.0),
+    ),
+)
+def test_near_constant_profile_bracket_straddles_and_fit_meets_the_residual(
+    values, band_fraction
+) -> None:
+    p = validate_profile(values)
+    s = profile_stats(p)
+    mu = s.asymptote + band_fraction * (s.max_reachable - s.asymptote)
+    assume(0.0 < mu < 1.0)
+    assume(s.asymptote < mu <= s.max_reachable)
+    a, b = find_search_interval(p, mu)
+    assert 0.0 <= a <= b
+    assert mean_power(p, a) >= mu >= mean_power(p, b)
+    out = find_solution(p, mu)
+    assert out.status is FitStatus.EXACT
     assert a <= out.exponent <= b
     assert abs(mean_power(p, out.exponent) - mu) <= 1e-10
 

@@ -223,11 +223,18 @@ def test_bracket_degenerate_at_zero() -> None:
     assert math.copysign(1.0, out.exponent) == 1.0
 
 
+def test_bracket_not_found_past_cap() -> None:
+    # One value just below 1: the root (6.9e8) lies far past the old cap of
+    # 1000, where the doubling search gave up. The closed form brackets it.
+    p = validate_profile([1 - 1e-9])
+    a, b, out = _assert_bracket_holds_root(p, 0.5)
+    assert a > 1000.0
+    assert out.exponent == pytest.approx(math.log(0.5) / math.log(1 - 1e-9), rel=1e-9)
+
+
 @pytest.mark.parametrize(
     ("values", "mu", "root"),
     [
-        # One value just below 1: the root is far beyond the old cap of 1000.
-        pytest.param([1 - 1e-9], 0.5, math.log(0.5) / math.log1p(-1e-9), id="one_value_below_1"),
         # S(512) = 0.600 > 0.5 > S(1000) = 0.368: the root lies below the old cap.
         pytest.param([0.999] * 999 + [1.0], 0.5, 693.8, id="below_the_old_cap"),
         # Above the old cap, and every value below 1 is equal, so the two
@@ -351,6 +358,14 @@ def test_solution_matches_grid_oracle() -> None:
     assert abs(out.achieved_mean - 0.6) <= 1e-10
     a, b = out.bracket
     assert 0.0 < a <= out.exponent <= b
+
+
+def test_solution_propagates_bracket_not_found() -> None:
+    # This target once raised out of find_solution; it is now an exact fit.
+    out = find_solution([1 - 1e-9], 0.5)
+    assert out.status is FitStatus.EXACT
+    assert out.exponent == pytest.approx(math.log(0.5) / math.log(1 - 1e-9), rel=1e-9)
+    assert abs(out.achieved_mean - 0.5) <= 1e-10
 
 
 def test_solution_rejects_target_outside_open_interval() -> None:

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import os
+import weakref
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -263,7 +264,7 @@ def write_profile(
             f"{len(timestamps)} timestamps for {len(original)} values"
         )
     header = ["original", "fitted"]
-    columns = [original.values, fitted.values]
+    columns = [_column_text(original), _column_text(fitted)]
     if timestamps is not None:
         header.insert(0, "time")
         columns.insert(0, timestamps)
@@ -284,23 +285,67 @@ def write_plot_data(path_prefix, original: Profile, fitted: Profile) -> None:
     sorts each column independently in descending order. Both carry
     ``index,original,fitted`` with a 1-based index and are always
     comma-delimited, whatever delimiter the input and ``_fitted.csv`` use.
+    Each column is formatted once, and shared with :func:`write_profile`
+    for the same :class:`Profile`; the sorted file is that text reordered
+    by one permutation, a stable descending argsort of ``original`` (and
+    ``fitted``'s own when ``fitted`` does not keep ``original``'s order).
     """
     if len(original) != len(fitted):
         raise LengthMismatchError(
             f"original has {len(original)} values but fitted has {len(fitted)}"
         )
     prefix = str(path_prefix)
-    _write_indexed(f"{prefix}_chronological.csv", original.values, fitted.values)
-    _write_indexed(
+    header = ["index", "original", "fitted"]
+    index = list(map(str, range(1, len(original) + 1)))
+    original_text = _column_text(original)
+    fitted_text = _column_text(fitted)
+    _write_csv(
+        f"{prefix}_chronological.csv", header, [index, original_text, fitted_text]
+    )
+    # A stable descending order of original also sorts an order-preserving
+    # fit such as apply_exponent's, so one permutation usually serves both.
+    perm = np.argsort(-original.values, kind="stable")
+    _write_csv(
         f"{prefix}_sorted.csv",
-        np.sort(original.values)[::-1],
-        np.sort(fitted.values)[::-1],
+        header,
+        [
+            index,
+            _descending_text(original, original_text, perm),
+            _descending_text(fitted, fitted_text, perm),
+        ],
     )
 
 
-def _write_indexed(path: str, original: np.ndarray, fitted: np.ndarray) -> None:
-    index = range(1, len(original) + 1)
-    _write_csv(path, ["index", "original", "fitted"], [index, original, fitted])
+# Column text by Profile, so that write_profile and write_plot_data, which
+# the CLI calls with the same two Profiles, format each column once. A
+# Profile hashes by identity and holds a read-only array, so its text never
+# goes stale, and the weak key drops the entry with the Profile.
+_COLUMN_TEXT: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _column_text(profile: Profile) -> list[str]:
+    """``repr`` of each value of ``profile``, in order; computed once per Profile."""
+    text = _COLUMN_TEXT.get(profile)
+    if text is None:
+        text = _COLUMN_TEXT[profile] = list(map(repr, profile.values.tolist()))
+    return text
+
+
+def _descending_text(profile: Profile, text: list[str], perm: np.ndarray) -> list[str]:
+    """The text of ``np.sort(profile.values)[::-1]``, taken from ``text``.
+
+    Uses ``perm`` when it orders ``profile``'s values non-increasingly, else
+    their own stable descending argsort. Equal values have equal text, so
+    either gives the bytes of the sorted array, except that ``np.sort``
+    leaves the order of ``-0.0`` against ``0.0`` undefined: a column holding
+    ``-0.0`` is sorted and formatted as before.
+    """
+    values = profile.values
+    if np.signbit(values).any():
+        return list(map(repr, np.sort(values)[::-1].tolist()))
+    if (np.diff(values[perm]) > 0.0).any():
+        perm = np.argsort(-values, kind="stable")
+    return list(map(text.__getitem__, perm.tolist()))
 
 
 @contextlib.contextmanager
@@ -326,10 +371,10 @@ def _write_csv(path, header: list[str], columns: list, delimiter: str = ",") -> 
     """Write a header and the rows zipped from ``columns``.
 
     Rows are formatted in blocks of ``_WRITE_BLOCK_ROWS`` with one format
-    string, floats from arrays by ``repr``. A block in which some field holds
-    the delimiter, a newline, a quote, ``\\r`` or NUL (text csv may quote or
-    reject) goes through :func:`_write_rows` instead, so every byte is that
-    of :func:`_write_rows`.
+    string; float columns arrive as their ``repr`` text (:func:`_column_text`).
+    A block in which some field holds the delimiter, a newline, a quote,
+    ``\\r`` or NUL (text csv may quote or reject) goes through
+    :func:`_write_rows` instead, so every byte is that of :func:`_write_rows`.
     """
     row = delimiter.join(["{}"] * len(columns)) + "\n"
     per_row = len(columns) - 1
@@ -337,10 +382,7 @@ def _write_csv(path, header: list[str], columns: list, delimiter: str = ",") -> 
         _write_rows(fh, [header], delimiter)
         for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
             stop = start + _WRITE_BLOCK_ROWS
-            block = [
-                c[start:stop].tolist() if isinstance(c, np.ndarray) else c[start:stop]
-                for c in columns
-            ]
+            block = [c[start:stop] for c in columns]
             text = "".join(map(row.format, *block))
             rows = len(block[0])
             if (

@@ -1,8 +1,10 @@
 import csv
 import dataclasses
+import gc
 import io
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -325,6 +327,93 @@ def test_write_plot_data_matches_csv_writer(tmp_path) -> None:
         rows = zip(range(1, 1301), a.tolist(), b.tolist())
         want = _csv_reference(["index", "original", "fitted"], rows)
         assert (tmp_path / f"plot_{name}.csv").read_bytes() == want
+
+
+def _assert_sorted_file_is_np_sort(tmp_path, original, fitted) -> None:
+    write_plot_data(tmp_path / "plot", original, fitted)
+    rows = zip(
+        range(1, len(original) + 1),
+        np.sort(original.values)[::-1].tolist(),
+        np.sort(fitted.values)[::-1].tolist(),
+    )
+    want = _csv_reference(["index", "original", "fitted"], rows)
+    assert (tmp_path / "plot_sorted.csv").read_bytes() == want
+
+
+SIGNED_ZEROS = [0.5, -0.0, 0.0, 0.5, 1.0, -0.0, 0.25, 0.0, 1.0, 0.25, -0.0]
+
+
+@pytest.mark.parametrize(
+    "case", ["signed-zeros", "fitted-signed-zeros", "unrelated-fitted", "x=0", "x=1000"]
+)
+def test_sorted_plot_file_is_each_column_sorted(tmp_path, case) -> None:
+    # Each column must read as np.sort(column)[::-1] whatever order the
+    # fitted column takes against original, with ties and signed zeros.
+    rng = np.random.default_rng(11)
+    original = validate_profile(np.round(rng.uniform(0.0, 1.0, size=1300), 2))
+    if case == "signed-zeros":
+        original = validate_profile(SIGNED_ZEROS * 50)
+        fitted = apply_exponent(original, 2.0)
+    elif case == "fitted-signed-zeros":
+        fitted = validate_profile(SIGNED_ZEROS * 100 + [0.0] * 200)
+    elif case == "unrelated-fitted":
+        fitted = validate_profile(rng.uniform(0.0, 1.0, size=1300))
+    else:  # clamped fits: every positive value ties at 1.0, or underflows to 0.0
+        fitted = apply_exponent(original, float(case[2:]))
+    _assert_sorted_file_is_np_sort(tmp_path, original, fitted)
+
+
+@pytest.mark.parametrize("m", [1, 511, 512, 513, 8760])
+def test_sorted_plot_file_across_write_blocks(tmp_path, m) -> None:
+    rng = np.random.default_rng(m)
+    original = validate_profile(np.round(rng.uniform(-0.5, 1.0, size=m).clip(0.0), 3))
+    _assert_sorted_file_is_np_sort(tmp_path, original, apply_exponent(original, 1.7))
+
+
+def _read_dir(out_dir):
+    return {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+
+def _write_outputs(out_dir, stamps, original, fitted):
+    """Run both writers in the CLI's order; return every file's bytes by name."""
+    out_dir.mkdir()
+    write_profile(out_dir / "x_fitted.csv", stamps, original, fitted)
+    write_plot_data(out_dir / "x", original, fitted)
+    return _read_dir(out_dir)
+
+
+def _fresh_copies(*profiles):
+    return [validate_profile(p.values) for p in profiles]
+
+
+def test_writing_a_pair_twice_gives_the_bytes_of_fresh_copies(tmp_path) -> None:
+    original, fitted = _awkward_profiles(1300)
+    stamps = [f"t{i}" for i in range(1300)]
+    first = _write_outputs(tmp_path / "first", stamps, original, fitted)
+    again = _write_outputs(tmp_path / "again", stamps, original, fitted)
+    fresh = _write_outputs(tmp_path / "fresh", stamps, *_fresh_copies(original, fitted))
+    assert len(first) == 3
+    assert first == again == fresh
+
+
+def test_plot_data_after_write_profile_matches_each_writer_alone(tmp_path) -> None:
+    original, fitted = _awkward_profiles(1300)
+    shared = _write_outputs(tmp_path / "shared", None, original, fitted)
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    write_profile(alone / "x_fitted.csv", None, *_fresh_copies(original, fitted))
+    write_plot_data(alone / "x", *_fresh_copies(original, fitted))
+    assert shared == _read_dir(alone)
+
+
+def test_written_profiles_are_not_kept_alive(tmp_path) -> None:
+    # A long batch must not keep every file's column text.
+    original, fitted = _awkward_profiles(1300)
+    _write_outputs(tmp_path / "out", None, original, fitted)
+    refs = [weakref.ref(original), weakref.ref(fitted)]
+    del original, fitted
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 PLAIN = "m1\nm2\nm3\ntime,electricity\nt0,0.5\nt1,0.75\nt2,1\n"

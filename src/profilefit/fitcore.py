@@ -116,7 +116,9 @@ class Profile:
     Holds a read-only float64 array with every value in [0, 1]. Construct
     through :func:`validate_profile`; code that builds a new float64 array
     of values known to be in range (e.g. :func:`apply_exponent`) may hand
-    it over directly. The array is not copied, only made read-only.
+    it over directly. The array is not copied, only made read-only, and
+    its values must not change once the Profile is built: the CSV writers
+    reuse text formatted from them.
     """
 
     values: np.ndarray

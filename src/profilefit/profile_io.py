@@ -289,6 +289,8 @@ def write_plot_data(path_prefix, original: Profile, fitted: Profile) -> None:
     for the same :class:`Profile`; the sorted file is that text reordered
     by one permutation, a stable descending argsort of ``original`` (and
     ``fitted``'s own when ``fitted`` does not keep ``original``'s order).
+    So equal values of ``original`` keep their input order, and ``-0.0``
+    ties with ``0.0``.
     """
     if len(original) != len(fitted):
         raise LengthMismatchError(
@@ -318,31 +320,30 @@ def write_plot_data(path_prefix, original: Profile, fitted: Profile) -> None:
 
 # Column text by Profile, so that write_profile and write_plot_data, which
 # the CLI calls with the same two Profiles, format each column once. A
-# Profile hashes by identity and holds a read-only array, so its text never
-# goes stale, and the weak key drops the entry with the Profile.
+# Profile hashes by identity and its values never change, so its text never
+# goes stale. The memo holds the last two columns formatted at most, so a
+# caller that keeps its Profiles keeps at most one pair's text with them.
 _COLUMN_TEXT: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _column_text(profile: Profile) -> list[str]:
-    """``repr`` of each value of ``profile``, in order; computed once per Profile."""
+    """``repr`` of each value of ``profile``, in order; memoised per Profile."""
     text = _COLUMN_TEXT.get(profile)
     if text is None:
+        if len(_COLUMN_TEXT) >= 2:
+            _COLUMN_TEXT.clear()
         text = _COLUMN_TEXT[profile] = list(map(repr, profile.values.tolist()))
     return text
 
 
 def _descending_text(profile: Profile, text: list[str], perm: np.ndarray) -> list[str]:
-    """The text of ``np.sort(profile.values)[::-1]``, taken from ``text``.
+    """``text`` reordered so that ``profile``'s values are non-increasing.
 
-    Uses ``perm`` when it orders ``profile``'s values non-increasingly, else
-    their own stable descending argsort. Equal values have equal text, so
-    either gives the bytes of the sorted array, except that ``np.sort``
-    leaves the order of ``-0.0`` against ``0.0`` undefined: a column holding
-    ``-0.0`` is sorted and formatted as before.
+    Uses ``perm`` when it orders them so, else their own stable descending
+    argsort. Equal values have equal text, except ``-0.0`` and ``0.0``,
+    whose order follows the permutation used.
     """
     values = profile.values
-    if np.signbit(values).any():
-        return list(map(repr, np.sort(values)[::-1].tolist()))
     if (np.diff(values[perm]) > 0.0).any():
         perm = np.argsort(-values, kind="stable")
     return list(map(text.__getitem__, perm.tolist()))

@@ -9,6 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
+from profilefit import profile_io
 from profilefit.fitcore import (
     NonFiniteValueError,
     ValueOutOfRangeError,
@@ -329,12 +330,15 @@ def test_write_plot_data_matches_csv_writer(tmp_path) -> None:
         assert (tmp_path / f"plot_{name}.csv").read_bytes() == want
 
 
-def _assert_sorted_file_is_np_sort(tmp_path, original, fitted) -> None:
+def _assert_sorted_file_is_stable_descending(tmp_path, original, fitted) -> None:
+    # Each column non-increasing, equal values (-0.0 against 0.0 too) in
+    # input order: the bytes of np.sort(column)[::-1] but for -0.0 against
+    # 0.0, whose order np.sort leaves undefined.
     write_plot_data(tmp_path / "plot", original, fitted)
     rows = zip(
         range(1, len(original) + 1),
-        np.sort(original.values)[::-1].tolist(),
-        np.sort(fitted.values)[::-1].tolist(),
+        sorted(original.values.tolist(), reverse=True),
+        sorted(fitted.values.tolist(), reverse=True),
     )
     want = _csv_reference(["index", "original", "fitted"], rows)
     assert (tmp_path / "plot_sorted.csv").read_bytes() == want
@@ -347,8 +351,8 @@ SIGNED_ZEROS = [0.5, -0.0, 0.0, 0.5, 1.0, -0.0, 0.25, 0.0, 1.0, 0.25, -0.0]
     "case", ["signed-zeros", "fitted-signed-zeros", "unrelated-fitted", "x=0", "x=1000"]
 )
 def test_sorted_plot_file_is_each_column_sorted(tmp_path, case) -> None:
-    # Each column must read as np.sort(column)[::-1] whatever order the
-    # fitted column takes against original, with ties and signed zeros.
+    # Each column must be sorted whatever order the fitted column takes
+    # against original, with ties and signed zeros.
     rng = np.random.default_rng(11)
     original = validate_profile(np.round(rng.uniform(0.0, 1.0, size=1300), 2))
     if case == "signed-zeros":
@@ -360,14 +364,14 @@ def test_sorted_plot_file_is_each_column_sorted(tmp_path, case) -> None:
         fitted = validate_profile(rng.uniform(0.0, 1.0, size=1300))
     else:  # clamped fits: every positive value ties at 1.0, or underflows to 0.0
         fitted = apply_exponent(original, float(case[2:]))
-    _assert_sorted_file_is_np_sort(tmp_path, original, fitted)
+    _assert_sorted_file_is_stable_descending(tmp_path, original, fitted)
 
 
 @pytest.mark.parametrize("m", [1, 511, 512, 513, 8760])
 def test_sorted_plot_file_across_write_blocks(tmp_path, m) -> None:
     rng = np.random.default_rng(m)
     original = validate_profile(np.round(rng.uniform(-0.5, 1.0, size=m).clip(0.0), 3))
-    _assert_sorted_file_is_np_sort(tmp_path, original, apply_exponent(original, 1.7))
+    _assert_sorted_file_is_stable_descending(tmp_path, original, apply_exponent(original, 1.7))
 
 
 def _read_dir(out_dir):
@@ -414,6 +418,19 @@ def test_written_profiles_are_not_kept_alive(tmp_path) -> None:
     del original, fitted
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
+
+
+def test_kept_profiles_keep_at_most_one_pair_of_text(tmp_path) -> None:
+    # A caller may keep every Profile it wrote; the writers keep no more
+    # than the text of the last pair.
+    kept = []
+    for i in range(4):
+        pair = _awkward_profiles(600 + i)
+        kept.append(pair)
+        write_profile(tmp_path / f"x{i}_fitted.csv", None, *pair)
+        assert len(profile_io._COLUMN_TEXT) <= 2
+        write_plot_data(tmp_path / f"x{i}", *pair)
+        assert len(profile_io._COLUMN_TEXT) <= 2
 
 
 PLAIN = "m1\nm2\nm3\ntime,electricity\nt0,0.5\nt1,0.75\nt2,1\n"

@@ -108,7 +108,7 @@ def expand_inputs(patterns: list[str]) -> list[str]:
 
 def _load_manifest(path: str) -> dict[str, float]:
     mapping: dict[str, float] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         for row in csv.reader(fh):
             if len(row) < 2 or not row[0].strip():
                 continue
@@ -243,6 +243,10 @@ def run_fit(config: CliConfig) -> int:
         print("error: no input files matched", file=sys.stderr)
         return EXIT_USAGE
 
+    suffixes = ["_fitted.csv", "_report.json"]
+    if config.emit_plot_data:
+        suffixes += ["_chronological.csv", "_sorted.csv"]
+    by_abspath = {os.path.abspath(p): p for p in paths}
     stems: dict[str, str] = {}
     for p in paths:
         stem = Path(p).stem
@@ -254,6 +258,16 @@ def run_fit(config: CliConfig) -> int:
             )
             return EXIT_USAGE
         stems[stem] = p
+        for suffix in suffixes:
+            out = os.path.join(config.out_dir, stem + suffix)
+            victim = by_abspath.get(os.path.abspath(out))
+            if victim is not None:
+                print(
+                    f"error: output {out!r} of input {p!r} would overwrite input "
+                    f"{victim!r}; choose another --out-dir",
+                    file=sys.stderr,
+                )
+                return EXIT_USAGE
 
     try:
         targets = resolve_targets(config, paths)

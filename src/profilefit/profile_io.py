@@ -60,10 +60,9 @@ class LengthMismatchError(ProfileFitError):
         super().__init__(message)
 
 
-# Fast-path block sizes: big enough that per-block overhead vanishes, small
-# enough that memory stays flat whatever the file length.
+# Fast-path read block size: big enough that per-block overhead vanishes,
+# small enough that memory stays flat whatever the file length.
 _READ_BLOCK_CHARS = 16384
-_WRITE_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,7 @@ def read_profile(
     if layout is None:
         layout = CsvLayout()
     path = Path(path)
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         for _ in range(layout.preamble_lines):
             if fh.readline() == "":
                 raise CsvParseError(
@@ -253,21 +252,14 @@ def write_profile(
 
     Header is ``time,original,fitted`` when timestamps are given, otherwise
     ``original,fitted``. Floats are rendered with shortest round-trip
-    precision, so reading the file back reproduces them exactly.
+    precision, so reading the file back reproduces them exactly. A timestamp
+    is written as ``format(stamp)``.
     """
-    if len(original) != len(fitted):
-        raise LengthMismatchError(
-            f"original has {len(original)} values but fitted has {len(fitted)}"
-        )
-    if timestamps is not None and len(timestamps) != len(original):
-        raise LengthMismatchError(
-            f"{len(timestamps)} timestamps for {len(original)} values"
-        )
     header = ["original", "fitted"]
     columns = [_column_text(original), _column_text(fitted)]
     if timestamps is not None:
         header.insert(0, "time")
-        columns.insert(0, timestamps)
+        columns.insert(0, list(map(format, timestamps)))
     _write_csv(path, header, columns, delimiter)
 
 
@@ -292,10 +284,6 @@ def write_plot_data(path_prefix, original: Profile, fitted: Profile) -> None:
     So equal values of ``original`` keep their input order, and ``-0.0``
     ties with ``0.0``.
     """
-    if len(original) != len(fitted):
-        raise LengthMismatchError(
-            f"original has {len(original)} values but fitted has {len(fitted)}"
-        )
     prefix = str(path_prefix)
     header = ["index", "original", "fitted"]
     index = list(map(str, range(1, len(original) + 1)))
@@ -368,32 +356,33 @@ def _replacing(path, newline: str | None = ""):
         raise
 
 
-def _write_csv(path, header: list[str], columns: list, delimiter: str = ",") -> None:
-    """Write a header and the rows zipped from ``columns``.
+def _write_csv(path, header: list[str], columns: list[list[str]], delimiter: str = ",") -> None:
+    """Write a header and the rows zipped from the text ``columns``.
 
-    Rows are formatted in blocks of ``_WRITE_BLOCK_ROWS`` with one format
-    string; float columns arrive as their ``repr`` text (:func:`_column_text`).
-    A block in which some field holds the delimiter, a newline, a quote,
-    ``\\r`` or NUL (text csv may quote or reject) goes through
-    :func:`_write_rows` instead, so every byte is that of :func:`_write_rows`.
+    Raises :class:`LengthMismatchError`, before any file is opened, when the
+    columns differ in length. The rows are joined into one text; if some
+    field holds the delimiter, a newline, a quote, ``\\r`` or NUL (text csv
+    may quote or reject), the whole file goes through :func:`_write_rows`
+    instead, so every byte is that of :func:`_write_rows`.
     """
-    row = delimiter.join(["{}"] * len(columns)) + "\n"
-    per_row = len(columns) - 1
+    lengths = [len(column) for column in columns]
+    if len(set(lengths)) > 1:
+        raise LengthMismatchError(
+            "columns differ in length: "
+            + ", ".join(f"{name} has {n}" for name, n in zip(header, lengths))
+        )
+    rows = lengths[0]
+    text = "\n".join(map(delimiter.join, zip(*columns))) + "\n"
     with _replacing(path) as fh:
         _write_rows(fh, [header], delimiter)
-        for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
-            stop = start + _WRITE_BLOCK_ROWS
-            block = [c[start:stop] for c in columns]
-            text = "".join(map(row.format, *block))
-            rows = len(block[0])
-            if (
-                _needs_csv(text)
-                or text.count(delimiter) != rows * per_row
-                or text.count("\n") != rows
-            ):
-                _write_rows(fh, zip(*block), delimiter)
-            else:
-                fh.write(text)
+        if (
+            _needs_csv(text)
+            or text.count(delimiter) != rows * (len(columns) - 1)
+            or text.count("\n") != rows
+        ):
+            _write_rows(fh, zip(*columns), delimiter)
+        else:
+            fh.write(text)
 
 
 def _write_rows(fh, rows, delimiter: str) -> None:

@@ -124,6 +124,26 @@ def test_stem_collision_is_rejected(tmp_path) -> None:
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "victim, flags",
+    [("x_fitted.csv", []), ("x_report.json", []), ("x_sorted.csv", ["--plot-data"])],
+)
+def test_output_that_would_overwrite_an_input_is_refused(
+    tmp_path, monkeypatch, capsys, victim, flags
+) -> None:
+    # Paths are compared absolute, so "./d/" and "d/" name the same file.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    write_profile_csv(tmp_path / "d" / "x.csv", [0.2, 0.5])
+    before = write_profile_csv(tmp_path / "d" / victim, [0.3, 0.6]).read_bytes()
+    code = main(["-i", "d/x.csv", "-i", f"./d/{victim}", "-t", "0.5", "-o", "d", *flags])
+    assert code == EXIT_USAGE
+    assert (tmp_path / "d" / victim).read_bytes() == before
+    assert sorted(p.name for p in (tmp_path / "d").iterdir()) == sorted(["x.csv", victim])
+    err = capsys.readouterr().err
+    assert "'d/x.csv'" in err and f"'./d/{victim}'" in err
+
+
 def test_glob_expansion_and_deduplication(tmp_path) -> None:
     write_profile_csv(tmp_path / "p1.csv", [0.5])
     write_profile_csv(tmp_path / "p2.csv", [0.5])
@@ -161,6 +181,14 @@ def test_resolve_targets_manifest_overrides(tmp_path) -> None:
     manifest.write_text(f"path,target\n{a},0.55\n")
     config = CliConfig(inputs=[a, b], target=0.7, manifest=str(manifest))
     assert resolve_targets(config, [a, b]) == {a: 0.55, b: 0.7}
+
+
+def test_resolve_targets_manifest_with_byte_order_mark(tmp_path) -> None:
+    a = str(tmp_path / "a.csv")
+    manifest = tmp_path / "targets.csv"
+    manifest.write_text(f"\ufeffpath,target\n{a},0.55\n", encoding="utf-8")
+    config = CliConfig(inputs=[a], manifest=str(manifest))
+    assert resolve_targets(config, [a]) == {a: 0.55}
 
 
 def test_resolve_targets_manifest_missing_entry(tmp_path) -> None:

@@ -129,13 +129,14 @@ def test_write_profile_length_mismatch(tmp_path) -> None:
             validate_profile([0.5, 0.6]),
             validate_profile([0.25]),
         )
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(LengthMismatchError, match="time has 1, original has 2, fitted has 2"):
         write_profile(
             tmp_path / "out.csv",
             ["t0"],
             validate_profile([0.5, 0.6]),
             validate_profile([0.25, 0.3]),
         )
+    assert list(tmp_path.iterdir()) == []  # no output, no .tmp
 
 
 def test_fitted_column_round_trip(tmp_path) -> None:
@@ -245,6 +246,7 @@ def test_plot_data_length_mismatch(tmp_path) -> None:
             validate_profile([0.2, 0.8]),
             validate_profile([0.4]),
         )
+    assert list(tmp_path.iterdir()) == []  # no output, no .tmp
 
 
 def test_read_profile_full_year_layout(tmp_path) -> None:
@@ -298,7 +300,8 @@ def _awkward_profiles(n):
 @pytest.mark.parametrize("delimiter", [",", ";", "e", "."])
 @pytest.mark.parametrize("odd_stamp", [None, "1,2", 'say "hi"', "a\nb", "a\rb"])
 def test_write_profile_matches_csv_writer(tmp_path, delimiter, odd_stamp) -> None:
-    # 1300 rows span three write blocks; an odd stamp sends its block to csv.
+    # An odd stamp sends the whole file through csv, so every row, before
+    # and after it, must come out as csv.writer writes it.
     original, fitted = _awkward_profiles(1300)
     stamps = [f"2019-01-01 {i % 24:02d}:00" for i in range(1300)]
     if odd_stamp is not None:
@@ -315,6 +318,28 @@ def test_write_profile_matches_csv_writer(tmp_path, delimiter, odd_stamp) -> Non
     rows = zip(original.values.tolist(), fitted.values.tolist())
     want = _csv_reference(["original", "fitted"], rows, delimiter)
     write_profile(path, None, original, fitted, delimiter=delimiter)
+    assert path.read_bytes() == want
+
+
+class _TwoFaced:
+    def __format__(self, spec):
+        return "formatted"
+
+    def __str__(self):
+        return "str"
+
+
+def test_timestamps_are_formatted_on_both_write_paths(tmp_path) -> None:
+    # The comma stamp sends the file through csv; every stamp must still be
+    # written as format(stamp), as on the join path.
+    original, fitted = _awkward_profiles(1300)
+    stamps = [f"t{i}" for i in range(1300)]
+    stamps[100] = stamps[700] = _TwoFaced()
+    stamps[701] = "1,2"
+    rows = zip(map(format, stamps), original.values.tolist(), fitted.values.tolist())
+    want = _csv_reference(["time", "original", "fitted"], rows)
+    path = tmp_path / "out.csv"
+    write_profile(path, stamps, original, fitted)
     assert path.read_bytes() == want
 
 
@@ -479,6 +504,26 @@ def test_read_profile_error_lines_on_every_path(
     assert line_of(excinfo.value) == 5 + rows_before
 
 
+@pytest.mark.parametrize(
+    "text, fast",
+    [
+        ("time,electricity\nt0,0.5\nt1,0.75\n", True),
+        ("electricity,time\n0.5,t0\n0.75,t1\n", True),
+        ('time,electricity\n"t0",0.5\nt1,0.75\n', False),
+    ],
+    ids=["time-first", "value-first", "quoted"],
+)
+def test_read_profile_skips_a_byte_order_mark(tmp_path, monkeypatch, text, fast) -> None:
+    # A leading BOM must not stick to the first header name.
+    path = tmp_path / "bom.csv"
+    path.write_text("\ufeff" + text, encoding="utf-8", newline="")
+    if fast:
+        monkeypatch.setattr(profile_io, "_parse_rows", None)  # the csv path must not run
+    profile, timestamps = read_profile(path, CsvLayout(preamble_lines=0))
+    np.testing.assert_array_equal(profile.values, [0.5, 0.75])
+    assert timestamps == ["t0", "t1"]
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_read_profile_from_a_pipe() -> None:
     # A pipe cannot seek, so the whole file goes through the row-by-row path.
@@ -529,7 +574,8 @@ def test_failed_writes_keep_the_previous_file(tmp_path) -> None:
     path = tmp_path / "out.csv"
     write_profile(path, stamps, original, fitted)
     before = path.read_bytes()
-    # The bad stamp sits in the second write block, after the first was written.
+    # The bad stamp fails while the stamps are formatted, before the file is
+    # opened; the report below fails midway through its write.
     stamps[700] = _Unprintable()
     with pytest.raises(RuntimeError):
         write_profile(path, stamps, fitted, original)

@@ -246,7 +246,9 @@ def run_fit(config: CliConfig) -> int:
     suffixes = ["_fitted.csv", "_report.json"]
     if config.emit_plot_data:
         suffixes += ["_chronological.csv", "_sorted.csv"]
-    by_abspath = {os.path.abspath(p): p for p in paths}
+    # Each directory resolved once, so an --out-dir that links to an input's is caught.
+    real = {d: os.path.realpath(d) for d in {config.out_dir, *map(os.path.dirname, paths)}}
+    by_realpath = {os.path.join(real[os.path.dirname(p)], os.path.basename(p)): p for p in paths}
     stems: dict[str, str] = {}
     for p in paths:
         stem = Path(p).stem
@@ -260,7 +262,7 @@ def run_fit(config: CliConfig) -> int:
         stems[stem] = p
         for suffix in suffixes:
             out = os.path.join(config.out_dir, stem + suffix)
-            victim = by_abspath.get(os.path.abspath(out))
+            victim = by_realpath.get(os.path.join(real[config.out_dir], stem + suffix))
             if victim is not None:
                 print(
                     f"error: output {out!r} of input {p!r} would overwrite input "
@@ -422,14 +424,13 @@ def parse_args(argv: list[str] | None = None) -> CliConfig:
     jobs = ns.jobs
     if jobs is None:
         env = os.environ.get(JOBS_ENV_VAR)
-        if env is not None:
-            try:
-                jobs = int(env)
-            except ValueError:
-                raise _UsageError(f"{JOBS_ENV_VAR} must be an integer, got {env!r}") from None
-        else:
-            jobs = _default_jobs()
-    if jobs < 1:
+        try:
+            jobs = _default_jobs() if env is None else int(env)
+        except ValueError:
+            jobs = 0  # refused just below, by the variable's name
+        if jobs < 1:
+            raise _UsageError(f"{JOBS_ENV_VAR} must be an integer >= 1, got {env!r}")
+    elif jobs < 1:
         raise _UsageError("--jobs must be >= 1")
     try:  # the layout and solver rules live in the types themselves
         layout = CsvLayout(

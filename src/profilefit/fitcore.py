@@ -152,20 +152,16 @@ class ProfileStats:
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Knobs for the root solve, and the exponent of a ``CLAMPED_HIGH`` fit."""
+    """The residual tolerance of the root solve, and the exponent of a ``CLAMPED_HIGH`` fit."""
 
     residual_tol: float = 1e-10
-    interval_tol: float = 1e-12
-    max_bisect_iter: int = 200
     large_exponent: float = 1000.0
 
     def __post_init__(self):
-        for name in ("residual_tol", "interval_tol", "large_exponent"):
+        for name in ("residual_tol", "large_exponent"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if self.max_bisect_iter < 1:
-            raise ValueError("max_bisect_iter must be a positive integer")
 
 
 class FitStatus(enum.Enum):
@@ -273,6 +269,7 @@ def classify_feasibility(stats: ProfileStats, mu: float) -> FitStatus:
 # and annual-like profiles, with targets up to 1e-16 of the band's edges,
 # needed at most 8 eps for S(a) >= mu >= S(b) to hold as computed.
 _BRACKET_SLACK = 64.0 * math.ulp(1.0)
+_MAX_ITER = 200  # the step cap of bisect_root
 
 
 def find_search_interval(p: Profile, mu: float) -> tuple[float, float]:
@@ -328,9 +325,10 @@ def bisect_root(
     Once the exp-form residual is within residual_tol / 2 (at ``a``, after
     zero iterations), the Newton step from it, which needs no exp, is
     returned if |S(x) - mu| <= residual_tol holds there for
-    :func:`mean_power` itself. It also stops when the bracket has shrunk to
-    interval_tol. Raises :class:`MaxIterationsExceededError` if neither
-    tolerance is met within ``opts.max_bisect_iter`` steps.
+    :func:`mean_power` itself. It also stops, at the midpoint, once no float
+    is left between the bracket ends, whatever the scale of the root. It
+    raises :class:`MaxIterationsExceededError` after 200 steps, seen only
+    for a target and a residual_tol both below about 1e-60.
     """
     if opts is None:
         opts = FitOptions()
@@ -353,11 +351,11 @@ def bisect_root(
     f, slope = residual_and_slope(x)
     if f < -0.5 * tol:
         raise no_straddle()
-    for iteration in range(opts.max_bisect_iter + 1):
+    for iteration in range(_MAX_ITER + 1):
         if iteration:
             x = x - f / slope if slope != 0.0 else math.nan
             if not lo < x < hi:  # also catches nan
-                x = 0.5 * (lo + hi)
+                x = mid  # of the bracket as the last step left it
             f, slope = residual_and_slope(x)
         if abs(f) <= 0.5 * tol:
             # One more Newton step from this residual needs no exp, and lands
@@ -370,12 +368,12 @@ def bisect_root(
             lo = x
         else:
             hi = x
-        if hi - lo <= opts.interval_tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # no float is left inside the bracket
             if hi == b and residual_and_slope(b)[0] > 0.0:
                 raise no_straddle()
-            x = 0.5 * (lo + hi)
-            return (x, iteration, mean_power(p, x))
-    raise MaxIterationsExceededError(opts.max_bisect_iter)
+            return (mid, iteration, mean_power(p, mid))
+    raise MaxIterationsExceededError(_MAX_ITER)
 
 
 def find_solution(p, mu: float, opts: FitOptions | None = None) -> FitOutcome:

@@ -54,6 +54,19 @@ def test_plot_data_flag_emits_curve_files(tmp_path, wind_csv) -> None:
     assert (out_dir / "wind_sorted.csv").exists()
 
 
+def test_tight_residual_tol_solves_a_root_past_8192(tmp_path) -> None:
+    # 0.999 ** x = 1e-4 * 8770 / 8760 at x = 9205, where ulp(x) = 1.8e-12.
+    path = write_profile_csv(tmp_path / "flat.csv", [0.999] * 8760 + [0.0] * 10)
+    out_dir = tmp_path / "out"
+    code = main(
+        ["-i", str(path), "-t", "1e-4", "--residual-tol", "1e-20", "-o", str(out_dir), "-j", "1"]
+    )
+    assert code == EXIT_OK
+    report = json.loads((out_dir / "flat_report.json").read_text())
+    assert report["status"] == "exact"
+    assert report["exponent"] == pytest.approx(9205.0, abs=1.0)
+
+
 def test_validation_error_exits_one_but_finishes_batch(tmp_path, capsys) -> None:
     good = write_profile_csv(tmp_path / "good.csv", [0.2, 0.5, 0.8])
     bad = tmp_path / "bad.csv"
@@ -144,6 +157,19 @@ def test_output_that_would_overwrite_an_input_is_refused(
     assert "'d/x.csv'" in err and f"'./d/{victim}'" in err
 
 
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symlinks")
+def test_out_dir_linked_to_an_input_directory_is_refused(tmp_path, monkeypatch) -> None:
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in").mkdir()
+    write_profile_csv(tmp_path / "in" / "x.csv", [0.2, 0.5])
+    before = write_profile_csv(tmp_path / "in" / "x_fitted.csv", [0.3, 0.6]).read_bytes()
+    os.symlink("in", "link", target_is_directory=True)
+    code = main(["-i", "in/x.csv", "-i", "in/x_fitted.csv", "-t", "0.5", "-o", "link", "-j", "1"])
+    assert code == EXIT_USAGE
+    assert (tmp_path / "in" / "x_fitted.csv").read_bytes() == before
+    assert sorted(p.name for p in (tmp_path / "in").iterdir()) == ["x.csv", "x_fitted.csv"]
+
+
 def test_glob_expansion_and_deduplication(tmp_path) -> None:
     write_profile_csv(tmp_path / "p1.csv", [0.5])
     write_profile_csv(tmp_path / "p2.csv", [0.5])
@@ -219,12 +245,18 @@ def test_manifest_run_exits_error_on_missing_entry(tmp_path, wind_csv) -> None:
     assert code == EXIT_ERROR
 
 
-def test_jobs_env_var_fallback(monkeypatch) -> None:
+def test_jobs_env_var_fallback(monkeypatch, capsys) -> None:
     monkeypatch.setenv("PROFILEFIT_JOBS", "5")
     config = parse_args(["-i", "a.csv", "-t", "0.5"])
     assert config.jobs == 5
     monkeypatch.setenv("PROFILEFIT_JOBS", "nope")
     assert main(["-i", "a.csv", "-t", "0.5"]) == EXIT_USAGE
+    for value in ("0", "-3"):
+        monkeypatch.setenv("PROFILEFIT_JOBS", value)
+        assert main(["-i", "a.csv", "-t", "0.5"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"PROFILEFIT_JOBS must be an integer >= 1, got '{value}'" in err
+        assert "--jobs" not in err
 
 
 def test_jobs_flag_overrides_env(monkeypatch) -> None:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from profilefit import fitcore
 from profilefit.fitcore import (
     EmptyProfileError,
     FitOptions,
@@ -290,21 +291,35 @@ def test_bisect_degenerate_bracket() -> None:
     assert bisect_root(p, 0.5, 1.0, 1.0) == (1.0, 0, 0.5)
 
 
-def test_bisect_can_stop_on_interval_width() -> None:
-    p = validate_profile([0.25, 0.5, 0.75])
-    opts = FitOptions(residual_tol=1e-300, interval_tol=1e-6)
-    x, iterations, _ = bisect_root(p, 0.6, 0.0, 1.0, opts)
-    assert x == pytest.approx(GRID_ORACLE_X, abs=1e-5)
-    assert iterations <= 25  # bracket width 1 halves below 1e-6 in ~20 steps
+# 8760 values of 0.999 and 10 zeros: S(x) = (8760/8770) * 0.999 ** x, so the
+# root of S(x) = mu is known in closed form and grows past 8192, where
+# ulp(x) = 1.8e-12, as mu falls below about 2.7e-4.
+NEAR_ONE = np.concatenate([np.full(8760, 0.999), np.zeros(10)])
 
 
-def test_bisect_iteration_cap() -> None:
+def near_one_root(mu: float) -> float:
+    return math.log(mu * 8770 / 8760) / math.log(0.999)
+
+
+@pytest.mark.parametrize("mu", [3e-3, 1e-4])  # roots 5805 and 9205
+def test_bisect_stops_when_no_float_is_left_in_the_bracket(mu) -> None:
+    p = validate_profile(NEAR_ONE)
+    a, b = find_search_interval(p, mu)
+    x, iterations, achieved = bisect_root(p, mu, a, b, FitOptions(residual_tol=1e-300))
+    # Not the residual test, which |achieved - mu| > 1e-300 fails: the
+    # bracket closed on the root, within rounding of its closed form.
+    assert achieved != mu
+    assert abs(x - near_one_root(mu)) <= 2 * math.ulp(x)
+    assert iterations <= 10
+
+
+def test_bisect_iteration_cap(monkeypatch) -> None:
     # Newton lands on this root (residual exactly 0) in 5 steps, so only a
-    # cap below that can trigger; one step is far from either tolerance.
+    # cap below that can trigger; one step is far from the tolerance.
+    monkeypatch.setattr(fitcore, "_MAX_ITER", 1)
     p = validate_profile([0.25, 0.5, 0.75])
-    opts = FitOptions(residual_tol=1e-300, interval_tol=1e-300, max_bisect_iter=1)
     with pytest.raises(MaxIterationsExceededError):
-        bisect_root(p, 0.6, 0.0, 1.0, opts)
+        bisect_root(p, 0.6, 0.0, 1.0, FitOptions(residual_tol=1e-300))
 
 
 def test_bisect_rejects_sign_preserving_bracket() -> None:
@@ -414,6 +429,17 @@ def test_solution_converges_in_few_steps(values, mu) -> None:
     assert abs(mean_power(p, out.exponent) - mu) <= 1e-10
 
 
+@pytest.mark.parametrize("mu", [1e-4, 1e-5, 1e-6])  # roots 9205, 11506 and 13807
+def test_solution_is_exact_past_8192_at_any_residual_tol(mu) -> None:
+    # Past 8192, ulp(x) > 1e-12: a tight residual_tol must still end the solve.
+    for residual_tol in (1e-20, 1e-300):
+        out = find_solution(NEAR_ONE, mu, FitOptions(residual_tol=residual_tol))
+        assert out.status is FitStatus.EXACT
+        a, b = out.bracket
+        assert a <= out.exponent <= b
+        assert out.exponent == pytest.approx(near_one_root(mu), rel=1e-15)
+
+
 @pytest.mark.parametrize("mu", [0.9, 0.6, 0.1])  # clamped low, exact, clamped high
 def test_solution_carries_profile_stats(mu) -> None:
     p = validate_profile([0.0, 0.25, 0.5, 1.0])
@@ -473,14 +499,10 @@ def test_fit_options_validation() -> None:
     with pytest.raises(ValueError):
         FitOptions(residual_tol=0.0)
     with pytest.raises(ValueError):
-        FitOptions(interval_tol=-1e-3)
-    with pytest.raises(ValueError):
-        FitOptions(max_bisect_iter=0)
-    with pytest.raises(ValueError):
         FitOptions(large_exponent=0.0)
 
 
-@pytest.mark.parametrize("name", ["residual_tol", "interval_tol", "large_exponent"])
+@pytest.mark.parametrize("name", ["residual_tol", "large_exponent"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_fit_options_reject_non_finite(name, value) -> None:
     with pytest.raises(ValueError, match=name):

@@ -4,10 +4,11 @@ import math
 import sys
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from profilefit.fitcore import (
+    FitOptions,
     FitStatus,
     ProfileFitError,
     apply_exponent,
@@ -139,14 +140,20 @@ def test_fit_status_is_the_classified_one(values, mu) -> None:
         st.floats(min_value=1e-9, max_value=1e-2),
         st.floats(min_value=1e-6, max_value=1.0),
     ),
+    # The default, and one that few fits can meet, so that most stop when
+    # no float is left inside their bracket.
+    st.sampled_from([1e-10, 1e-300]),
 )
-def test_exact_fit_lies_in_its_bracket_and_meets_the_residual(values, band_fraction) -> None:
+@example([0.999], 1e-4, 1e-300)  # root 9206, where ulp(x) = 1.8e-12
+def test_exact_fit_lies_in_its_bracket_and_meets_the_residual(
+    values, band_fraction, residual_tol
+) -> None:
     p = validate_profile(values)
     s = profile_stats(p)
     mu = s.asymptote + band_fraction * (s.max_reachable - s.asymptote)
     assume(0.0 < mu < 1.0)
     assume(s.asymptote < mu <= s.max_reachable)
-    out = find_solution(p, mu)
+    out = find_solution(p, mu, FitOptions(residual_tol=residual_tol))
     assert out.status is FitStatus.EXACT
     a, b = out.bracket
     assert a <= out.exponent <= b

@@ -246,9 +246,15 @@ def run_fit(config: CliConfig) -> int:
     suffixes = ["_fitted.csv", "_report.json"]
     if config.emit_plot_data:
         suffixes += ["_chronological.csv", "_sorted.csv"]
-    # Each directory resolved once, so an --out-dir that links to an input's is caught.
+    # Each directory resolved once, so an --out-dir that links to an input's
+    # is caught; an input that is itself a link is resolved whole.
     real = {d: os.path.realpath(d) for d in {config.out_dir, *map(os.path.dirname, paths)}}
-    by_realpath = {os.path.join(real[os.path.dirname(p)], os.path.basename(p)): p for p in paths}
+    by_realpath = {
+        os.path.realpath(p)
+        if os.path.islink(p)
+        else os.path.join(real[os.path.dirname(p)], os.path.basename(p)): p
+        for p in paths
+    }
     stems: dict[str, str] = {}
     for p in paths:
         stem = Path(p).stem

@@ -118,12 +118,15 @@ class Profile:
     of values known to be in range (e.g. :func:`apply_exponent`) may hand
     it over directly. The array is not copied, only made read-only, and
     its values must not change once the Profile is built: the CSV writers
-    reuse text formatted from them.
+    reuse text formatted from them. An array of any other dtype (float32
+    or big-endian float64 too) raises TypeError.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
+        if self.values.dtype != np.float64:
+            raise TypeError(f"Profile values must be a float64 array, got {self.values.dtype}")
         self.values.setflags(write=False)
 
     def __len__(self) -> int:

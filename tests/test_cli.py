@@ -170,6 +170,21 @@ def test_out_dir_linked_to_an_input_directory_is_refused(tmp_path, monkeypatch) 
     assert sorted(p.name for p in (tmp_path / "in").iterdir()) == ["x.csv", "x_fitted.csv"]
 
 
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symlinks")
+def test_input_linked_to_an_output_path_is_refused(tmp_path, monkeypatch) -> None:
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in").mkdir()
+    (tmp_path / "other").mkdir()
+    write_profile_csv(tmp_path / "in" / "x.csv", [0.2, 0.5])
+    before = write_profile_csv(tmp_path / "in" / "x_fitted.csv", [0.3, 0.6]).read_bytes()
+    os.symlink(os.path.join("..", "in", "x_fitted.csv"), os.path.join("other", "y.csv"))
+    code = main(["-i", "in/x.csv", "-i", "other/y.csv", "-t", "0.3", "-o", "in", "-j", "1"])
+    assert code == EXIT_USAGE
+    assert (tmp_path / "in" / "x_fitted.csv").read_bytes() == before
+    assert sorted(p.name for p in (tmp_path / "in").iterdir()) == ["x.csv", "x_fitted.csv"]
+    assert [p.name for p in (tmp_path / "other").iterdir()] == ["y.csv"]
+
+
 def test_glob_expansion_and_deduplication(tmp_path) -> None:
     write_profile_csv(tmp_path / "p1.csv", [0.5])
     write_profile_csv(tmp_path / "p2.csv", [0.5])

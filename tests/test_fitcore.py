@@ -74,6 +74,28 @@ def test_profile_values_are_read_only() -> None:
         p.values[0] = 0.9
 
 
+@pytest.mark.parametrize(
+    "dtype",
+    [
+        "float16",
+        "float32",
+        ">f8",
+        pytest.param(
+            "longdouble",
+            marks=pytest.mark.skipif(
+                np.dtype(np.longdouble) == np.float64, reason="longdouble is float64 here"
+            ),
+        ),
+        "complex128",
+        "int64",
+    ],
+)
+def test_profile_holds_float64_only(dtype) -> None:
+    # The CSV writers key each value on its 64 bits.
+    with pytest.raises(TypeError, match="float64"):
+        Profile(np.zeros(3, dtype=dtype))
+
+
 def test_validate_neither_aliases_nor_freezes_the_callers_array() -> None:
     arr = np.array([0.5, 0.6])
     p = validate_profile(arr)

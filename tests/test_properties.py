@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from profilefit.fitcore import (
     FitOptions,
     FitStatus,
+    Profile,
     ProfileFitError,
     apply_exponent,
     classify_feasibility,
@@ -19,6 +20,7 @@ from profilefit.fitcore import (
     profile_stats,
     validate_profile,
 )
+from profilefit.profile_io import _column_text
 
 # Any float in [0, 1], with endpoints over-weighted to exercise r and n.
 any_values = st.lists(
@@ -258,3 +260,30 @@ def test_read_returns_what_write_wrote(rows, x, delimiter) -> None:
             back, back_stamps = read_profile(path, layout)
             np.testing.assert_array_equal(back.values, want.values)
             assert back_stamps == stamps
+
+
+# Values a column may repeat: both signed zeros, the smallest subnormal, 1.0
+# and the float below it, and values at 3 decimals, as in a
+# renewables.ninja export.
+pooled_values = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1.0, 1 - 2**-53]),
+    st.integers(0, 1000).map(lambda k: k / 1000),
+)
+
+
+# Long columns with every value distinct.
+distinct_values = st.tuples(st.integers(1, 9000), st.integers(0, 2**32 - 1)).map(
+    lambda a: (np.random.default_rng(a[1]).permutation(a[0]) / a[0]).tolist()
+)
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(
+        st.lists(pooled_values, min_size=1, max_size=300),
+        distinct_values,
+    )
+)
+def test_column_text_is_repr_of_each_value(values) -> None:
+    v = np.array(values)
+    assert _column_text(Profile(v)) == list(map(repr, v.tolist()))

@@ -15,7 +15,6 @@ import glob
 import math
 import os
 import sys
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -73,12 +72,12 @@ def _default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class CliConfig:
     """Resolved command-line options for one batch run.
 
-    ``layout`` and ``options`` check their own values when built, so a
-    config made in code obeys the same rules as one parsed from argv.
+    ``layout``, ``options`` and ``jobs`` are checked when built, so a config
+    made in code obeys the same rules as one parsed from argv.
     """
 
     inputs: list[str]
@@ -91,13 +90,18 @@ class CliConfig:
     allow_clamp: bool = False
     jobs: int = field(default_factory=_default_jobs)
 
+    def __post_init__(self):
+        if not isinstance(self.jobs, int) or self.jobs < 1:
+            raise ValueError(f"jobs must be an integer >= 1, got {self.jobs!r}")
+
 
 def expand_inputs(patterns: list[str]) -> list[str]:
-    """Expand glob patterns, dropping duplicates but keeping input order."""
+    """Glob each pattern that names no existing path; drop duplicates, keep order."""
     paths: list[str] = []
     seen: set[str] = set()
     for pattern in patterns:
-        matches = sorted(glob.glob(pattern)) if glob.has_magic(pattern) else [pattern]
+        literal = not glob.has_magic(pattern) or os.path.exists(pattern)
+        matches = [pattern] if literal else sorted(glob.glob(pattern))
         for p in matches:
             key = os.path.normpath(p)
             if key not in seen:
@@ -158,10 +162,8 @@ class _FileResult:
 def _fit_one(path: str, mu: float, config: CliConfig) -> _FileResult:
     try:
         profile, timestamps = read_profile(path, config.layout)
-        start = time.perf_counter()
         outcome = find_solution(profile, mu, config.options)
         fitted = apply_exponent(profile, outcome.exponent)
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
         stats = outcome.stats
 
         stem = Path(path).stem
@@ -181,7 +183,6 @@ def _fit_one(path: str, mu: float, config: CliConfig) -> _FileResult:
             achieved_cf=float(outcome.achieved_mean),
             status=outcome.status.value,
             iterations=int(outcome.iterations),
-            elapsed_ms=elapsed_ms,
         )
         write_report(out_dir / f"{stem}_report.json", report)
         if config.emit_plot_data:
@@ -289,7 +290,7 @@ def run_fit(config: CliConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    jobs = max(1, min(config.jobs, len(paths)))
+    jobs = min(config.jobs, len(paths))
     mus = [targets[p] for p in paths]
     if jobs == 1:
         results = _fit_chunk(paths, mus, config)
@@ -433,11 +434,7 @@ def parse_args(argv: list[str] | None = None) -> CliConfig:
         try:
             jobs = _default_jobs() if env is None else int(env)
         except ValueError:
-            jobs = 0  # refused just below, by the variable's name
-        if jobs < 1:
-            raise _UsageError(f"{JOBS_ENV_VAR} must be an integer >= 1, got {env!r}")
-    elif jobs < 1:
-        raise _UsageError("--jobs must be >= 1")
+            jobs = 0  # refused by CliConfig, and reported by the variable's name
     try:  # the layout and solver rules live in the types themselves
         layout = CsvLayout(
             preamble_lines=ns.preamble_lines, value_column=ns.column, delimiter=ns.delimiter
@@ -445,18 +442,22 @@ def parse_args(argv: list[str] | None = None) -> CliConfig:
         options = FitOptions(residual_tol=ns.residual_tol, large_exponent=ns.large_exponent)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-
-    return CliConfig(
-        inputs=list(ns.inputs),
-        target=ns.target,
-        manifest=ns.manifest,
-        layout=layout,
-        options=options,
-        out_dir=ns.out_dir,
-        emit_plot_data=ns.emit_plot_data,
-        allow_clamp=ns.allow_clamp,
-        jobs=jobs,
-    )
+    try:
+        return CliConfig(
+            inputs=list(ns.inputs),
+            target=ns.target,
+            manifest=ns.manifest,
+            layout=layout,
+            options=options,
+            out_dir=ns.out_dir,
+            emit_plot_data=ns.emit_plot_data,
+            allow_clamp=ns.allow_clamp,
+            jobs=jobs,
+        )
+    except ValueError as exc:  # the jobs rule, CliConfig's only check
+        if ns.jobs is None:  # the count came from the environment
+            raise _UsageError(f"{JOBS_ENV_VAR} must be an integer >= 1, got {env!r}") from None
+        raise _UsageError(str(exc)) from None
 
 
 def main(argv: list[str] | None = None) -> int:

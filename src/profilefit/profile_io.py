@@ -101,7 +101,6 @@ class FitReport:
     achieved_cf: float
     status: str
     iterations: int
-    elapsed_ms: float
 
 
 def read_profile(
@@ -265,7 +264,7 @@ def write_profile(
 
 def write_report(path, report: FitReport) -> None:
     """Serialize one fit report as a single JSON object."""
-    with _replacing(path, newline=None) as fh:
+    with _replacing(path) as fh:
         json.dump(asdict(report), fh, indent=2)
         fh.write("\n")
 
@@ -329,11 +328,8 @@ def _column_text(profile: Profile) -> list[str]:
     if text is None:
         if len(_COLUMN_TEXT) >= 2:
             _COLUMN_TEXT.clear()
-        values = profile.values
-        _, first, inverse = np.unique(
-            values.view(np.uint64), return_index=True, return_inverse=True
-        )
-        distinct = list(map(repr, values[first].tolist()))
+        keys, inverse = np.unique(profile.values.view(np.uint64), return_inverse=True)
+        distinct = list(map(repr, keys.view(np.float64).tolist()))
         text = _COLUMN_TEXT[profile] = list(map(distinct.__getitem__, inverse.tolist()))
     return text
 
@@ -352,7 +348,7 @@ def _descending_text(profile: Profile, text: list[str], perm: np.ndarray) -> lis
 
 
 @contextlib.contextmanager
-def _replacing(path, newline: str | None = ""):
+def _replacing(path):
     """Open a sibling ``<name>.tmp`` for writing and move it onto ``path``.
 
     Readers of ``path`` see the old file or the whole new one, never a
@@ -361,7 +357,7 @@ def _replacing(path, newline: str | None = ""):
     """
     tmp = os.fspath(path) + ".tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -193,6 +193,22 @@ def test_glob_expansion_and_deduplication(tmp_path) -> None:
     assert expanded == [str(tmp_path / "p1.csv"), str(tmp_path / "p2.csv")]
 
 
+def test_existing_input_with_glob_characters_is_taken_literally(tmp_path, capsys) -> None:
+    for name in ("site[1].csv", "b.csv"):
+        write_profile_csv(tmp_path / name, [0.2, 0.5, 0.8])
+    literal, other = str(tmp_path / "site[1].csv"), str(tmp_path / "b.csv")
+    assert expand_inputs([literal, other]) == [literal, other]
+    # A pattern that names no file is still globbed.
+    assert expand_inputs([str(tmp_path / "[ab].csv")]) == [other]
+    code = main(["-i", literal, "-i", other, "-t", "0.4", "-j", "1", "-o", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    assert [line.split(": ")[0] for line in capsys.readouterr().out.splitlines()] == [
+        literal,
+        other,
+    ]
+    assert (tmp_path / "out" / "site[1]_report.json").exists()
+
+
 def test_inputs_are_expanded_once_per_run(tmp_path, monkeypatch) -> None:
     for i in range(2):
         write_profile_csv(tmp_path / f"p{i}.csv", [0.2, 0.5, 0.8])
@@ -274,10 +290,18 @@ def test_jobs_env_var_fallback(monkeypatch, capsys) -> None:
         assert "--jobs" not in err
 
 
+@pytest.mark.parametrize("jobs", [0, -3, 2.0, "2"])
+def test_cli_config_refuses_a_bad_jobs(tmp_path, jobs) -> None:
+    with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
+        CliConfig(inputs=[str(tmp_path / "a.csv")], target=0.5, jobs=jobs)
+
+
 def test_jobs_flag_overrides_env(monkeypatch) -> None:
     monkeypatch.setenv("PROFILEFIT_JOBS", "5")
     config = parse_args(["-i", "a.csv", "-t", "0.5", "-j", "2"])
     assert config.jobs == 2
+    with pytest.raises(AttributeError):  # frozen, so it stays valid
+        config.jobs = 0
 
 
 def test_version_flag(capsys) -> None:
@@ -300,7 +324,7 @@ def test_parallel_jobs_match_serial(tmp_path) -> None:
     assert main(args + ["-o", str(out1), "-j", "1"]) == EXIT_OK
     assert main(args + ["-o", str(out2), "-j", "4"]) == EXIT_OK
     for i in range(4):
-        for suffix in ("_fitted.csv", "_chronological.csv", "_sorted.csv"):
+        for suffix in ("_fitted.csv", "_report.json", "_chronological.csv", "_sorted.csv"):
             a = (out1 / f"site{i}{suffix}").read_bytes()
             b = (out2 / f"site{i}{suffix}").read_bytes()
             assert a == b

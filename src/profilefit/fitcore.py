@@ -9,18 +9,23 @@ monotonically from r/m at x = 0 (r = count of nonzero values) down to
 n/m as x grows (n = count of values equal to 1). Fitting a target mean
 mu therefore reduces to a scalar root solve of S(x) = mu: a closed-form
 bracket (:func:`find_search_interval`), so no root is out of reach, then a
-safeguarded Newton iteration (:func:`bisect_root`, named after the plain
-bisection it replaced). S is convex and decreasing, so Newton steps from
-the left end of the bracket approach the root from one side; a bisection
-step is taken only when a Newton step is undefined or leaves the bracket.
-Targets outside the reachable band (n/m, r/m] are clamped to x = 0 or
-to a large fallback exponent; :func:`classify_feasibility` gives the
-:class:`FitStatus` of each case.
+safeguarded Newton iteration on log S(x) = log mu (:func:`bisect_root`,
+named after the plain bisection it replaced). log S is convex and
+decreasing, so Newton steps from the left end of the bracket approach the
+root from one side; a bisection step is taken only when a Newton step is
+undefined or leaves the bracket. Targets outside the reachable band
+(n/m, r/m] are clamped to x = 0 or to a large fallback exponent;
+:func:`classify_feasibility` gives the :class:`FitStatus` of each case.
+
+The fit's operations read the positive values and their logs from the
+:class:`Profile`, which builds each array on first use and keeps it, so a
+fit builds one mask and one log and a refit of the same profile neither.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -118,8 +123,14 @@ class Profile:
     of values known to be in range (e.g. :func:`apply_exponent`) may hand
     it over directly. The array is not copied, only made read-only, and
     its values must not change once the Profile is built: the CSV writers
-    reuse text formatted from them. An array of any other dtype (float32
-    or big-endian float64 too) raises TypeError.
+    reuse text formatted from them, and the fit reuses two arrays derived
+    from them. An array of any other dtype (float32 or big-endian float64
+    too) raises TypeError.
+
+    The derived arrays, the positive values and their logs, are built on
+    first use and kept, read-only, for the Profile's lifetime. They are not
+    fields, and cost at most 16 bytes per positive value, about 140 KB for
+    an annual hourly profile.
     """
 
     values: np.ndarray
@@ -131,6 +142,20 @@ class Profile:
 
     def __len__(self) -> int:
         return self.values.size
+
+    @functools.cached_property
+    def _positive(self) -> np.ndarray:
+        """The values greater than 0, in input order: the terms of S(x)."""
+        pos = self.values[self.values > 0.0]
+        pos.setflags(write=False)
+        return pos
+
+    @functools.cached_property
+    def _log_positive(self) -> np.ndarray:
+        """``np.log`` of :attr:`_positive`; 0 exactly where a value is 1."""
+        lp = np.log(self._positive)
+        lp.setflags(write=False)
+        return lp
 
 
 @dataclass(frozen=True)
@@ -216,11 +241,10 @@ def validate_profile(values) -> Profile:
 
 def profile_stats(p: Profile) -> ProfileStats:
     """Count total, nonzero and exactly-one values, and the current mean."""
-    v = p.values
+    v, pos = p.values, p._positive
     m = int(v.size)
-    r = int(np.count_nonzero(v > 0.0))
-    n = int(np.count_nonzero(v == 1.0))
-    return ProfileStats(m=m, r=r, n=n, mean=float(v.sum() / m))
+    n = int(np.count_nonzero(pos == 1.0))
+    return ProfileStats(m=m, r=int(pos.size), n=n, mean=float(v.sum() / m))
 
 
 def mean_power(p: Profile, x: float) -> float:
@@ -230,26 +254,19 @@ def mean_power(p: Profile, x: float) -> float:
     in [0, r/m]. Underflow of tiny bases at large exponents rounds to 0,
     which is the correct limit.
     """
-    v = p.values
-    pos = v[v > 0.0]
-    if pos.size == 0:
-        return 0.0
-    return float(np.sum(pos ** x) / v.size)
+    return float(np.sum(p._positive ** x) / p.values.size)
 
 
 def mean_power_derivative(p: Profile, x: float) -> float:
     """Slope of the transformed mean: (1/m) * sum of p_i**x * ln(p_i).
 
     Nonpositive everywhere; zero exactly when every nonzero value is 1.
-    The slope that the Newton steps of :func:`bisect_root` follow. That
-    solver computes it in exp-log form, from the same ``exp`` per step as
-    S(x); this pow form is the reference the tests compare against.
+    The Newton steps of :func:`bisect_root` follow S'(x) / S(x), the slope
+    of log S. That solver computes S' in exp-log form, from the same ``exp``
+    per step as S(x); this pow form is the reference the tests compare
+    against.
     """
-    v = p.values
-    pos = v[v > 0.0]
-    if pos.size == 0:
-        return 0.0
-    return float(np.sum(pos ** x * np.log(pos)) / v.size)
+    return float(np.sum(p._positive ** x * p._log_positive) / p.values.size)
 
 
 def classify_feasibility(stats: ProfileStats, mu: float) -> FitStatus:
@@ -287,9 +304,8 @@ def find_search_interval(p: Profile, mu: float) -> tuple[float, float]:
     constant profile. mu = r/m gives (0.0, 0.0), and a target outside the
     band (n/m, r/m] raises ValueError.
     """
-    v = p.values
-    m = v.size
-    lp = np.log(v[v > 0.0])
+    m = p.values.size
+    lp = p._log_positive
     inner = lp[lp < 0.0]  # log p over 0 < p < 1; each 1 has log 0
     k = inner.size
     asymptote, reachable = (lp.size - k) / m, lp.size / m
@@ -316,54 +332,67 @@ def bisect_root(
 
     Returns ``(x, iterations, S(x))``, with S(x) as :func:`mean_power`
     computes it. The name is kept from the plain bisection this replaced.
-    ``log p`` is taken once; each step evaluates ``e = exp(x * log p)`` once
-    and reads both S(x) and S'(x) from it. Newton starts at ``a``, whose
-    residual also checks the bracket: S is convex and decreasing, so from a
-    point where S > mu the step never passes the root, and it reaches ``b``
-    only if the root lies there or beyond, which is checked once the
-    bracket shrinks onto ``b``. A bracket that does not straddle mu raises
-    ValueError. The step falls back to the bracket midpoint whenever it is
-    undefined, not finite or outside the current bracket (lo, hi).
+    Each step evaluates ``e = exp(x * log p)`` once, with the profile's
+    cached ``log p``, and reads both S(x) and S'(x) from it. The steps are
+    Newton's on log S(x) = log mu, ``x - log(S / mu) * S / S'``: log S is
+    convex and decreasing too, so from a point where S > mu the step never
+    passes the root, and it lowers S by any factor in one step, where a
+    step on S itself lowers it by at most a factor e. Newton starts at
+    ``a``, whose residual also checks the bracket; it reaches ``b`` only if
+    the root lies there or beyond, which is checked once the bracket
+    shrinks onto ``b``. A bracket that does not straddle mu, or a mu that
+    is not positive, raises ValueError. The step falls back to the bracket
+    midpoint whenever it is undefined (S underflows to 0, or its slope is
+    0), not finite or outside the current bracket (lo, hi).
 
     Once the exp-form residual is within residual_tol / 2 (at ``a``, after
     zero iterations), the Newton step from it, which needs no exp, is
     returned if |S(x) - mu| <= residual_tol holds there for
     :func:`mean_power` itself. It also stops, at the midpoint, once no float
     is left between the bracket ends, whatever the scale of the root. It
-    raises :class:`MaxIterationsExceededError` after 200 steps, seen only
-    for a target and a residual_tol both below about 1e-60.
+    raises :class:`MaxIterationsExceededError` after 200 steps.
     """
     if opts is None:
         opts = FitOptions()
     if a > b:
         raise ValueError(f"invalid bracket: a={a!r} > b={b!r}")
+    if not mu > 0.0:  # also catches nan; log S has no root at mu <= 0
+        raise ValueError(f"target mean must be positive, got {mu!r}")
     tol = opts.residual_tol
-    v = p.values
-    lp = np.log(v[v > 0.0])
-    m = v.size
+    lp = p._log_positive
+    m = p.values.size
 
-    def residual_and_slope(x: float) -> tuple[float, float]:
+    def mean_and_slope(x: float) -> tuple[float, float]:
         e = np.exp(x * lp)
-        return float(e.sum() / m - mu), float(e.dot(lp) / m)
+        return float(e.sum() / m), float(e.dot(lp) / m)
+
+    def newton(x: float, s: float, slope: float) -> float:
+        """The Newton step from x on log S = log mu; x itself where it is undefined."""
+        if s > 0.0 and slope != 0.0:
+            # log1p of the residual, which s - mu gives exactly near the
+            # root, where log(s) - log(mu) would carry |log mu| rounding units.
+            return x - math.log1p((s - mu) / mu) * s / slope
+        return x
 
     def no_straddle() -> ValueError:
         return ValueError(f"bracket [{a!r}, {b!r}] does not straddle the target mean {mu!r}")
 
     lo, hi = float(a), float(b)
     x = lo
-    f, slope = residual_and_slope(x)
-    if f < -0.5 * tol:
+    s, slope = mean_and_slope(x)
+    if s - mu < -0.5 * tol:
         raise no_straddle()
     for iteration in range(_MAX_ITER + 1):
         if iteration:
-            x = x - f / slope if slope != 0.0 else math.nan
-            if not lo < x < hi:  # also catches nan
+            x = newton(x, s, slope)
+            if not lo < x < hi:  # also catches nan and x itself, now lo or hi
                 x = mid  # of the bracket as the last step left it
-            f, slope = residual_and_slope(x)
+            s, slope = mean_and_slope(x)
+        f = s - mu
         if abs(f) <= 0.5 * tol:
             # One more Newton step from this residual needs no exp, and lands
             # within rounding of the root rather than within the tolerance.
-            root = min(max(x - f / slope, lo), hi) if slope != 0.0 else x
+            root = min(max(newton(x, s, slope), lo), hi)
             achieved = mean_power(p, root)
             if abs(achieved - mu) <= tol:
                 return (root, iteration, achieved)
@@ -373,7 +402,7 @@ def bisect_root(
             hi = x
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # no float is left inside the bracket
-            if hi == b and residual_and_slope(b)[0] > 0.0:
+            if hi == b and mean_and_slope(b)[0] > mu:
                 raise no_straddle()
             return (mid, iteration, mean_power(p, mid))
     raise MaxIterationsExceededError(_MAX_ITER)
@@ -437,6 +466,5 @@ def apply_exponent(p, x: float) -> Profile:
         raise ValueError(f"exponent must be nonnegative, got {x!r}")
     v = p.values
     out = np.zeros_like(v)
-    pos = v > 0.0
-    out[pos] = v[pos] ** x
+    out[v > 0.0] = p._positive ** x
     return Profile(out)

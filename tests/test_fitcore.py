@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -94,6 +95,20 @@ def test_profile_holds_float64_only(dtype) -> None:
     # The CSV writers key each value on its 64 bits.
     with pytest.raises(TypeError, match="float64"):
         Profile(np.zeros(3, dtype=dtype))
+
+
+def test_profile_fields_are_just_values() -> None:
+    # The positive values and their logs are cached on first use, not
+    # fields: Profile stays frozen and compares by identity (its dtype
+    # check is test_profile_holds_float64_only's).
+    p = validate_profile([0.0, 0.5, 1.0])
+    find_solution(p, 0.4)
+    assert [f.name for f in dataclasses.fields(Profile)] == ["values"]
+    assert p == p and p != validate_profile([0.0, 0.5, 1.0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.values = np.zeros(3)
+    assert not p._positive.flags.writeable
+    assert not p._log_positive.flags.writeable
 
 
 def test_validate_neither_aliases_nor_freezes_the_callers_array() -> None:
@@ -344,6 +359,12 @@ def test_bisect_iteration_cap(monkeypatch) -> None:
         bisect_root(p, 0.6, 0.0, 1.0, FitOptions(residual_tol=1e-300))
 
 
+@pytest.mark.parametrize("mu", [0.0, -0.5, math.nan])
+def test_bisect_rejects_a_target_that_is_not_positive(mu) -> None:
+    with pytest.raises(ValueError, match="must be positive"):
+        bisect_root(validate_profile([0.25, 0.5]), mu, 0.0, 1.0)
+
+
 def test_bisect_rejects_sign_preserving_bracket() -> None:
     p = validate_profile([0.25, 0.5, 0.75])
     with pytest.raises(ValueError, match="does not straddle"):
@@ -460,6 +481,33 @@ def test_solution_is_exact_past_8192_at_any_residual_tol(mu) -> None:
         a, b = out.bracket
         assert a <= out.exponent <= b
         assert out.exponent == pytest.approx(near_one_root(mu), rel=1e-15)
+
+
+def longdouble_root(values, mu: float, x: float) -> np.longdouble:
+    """Newton's root of log S(x) = log mu in np.longdouble, started at x."""
+    v = np.array(values, dtype=np.longdouble)
+    lp = np.log(v[v > 0.0])
+    x, log_mu = np.longdouble(x), np.log(np.longdouble(mu))
+    for _ in range(10):
+        e = np.exp(x * lp)
+        x -= (np.log(e.sum() / v.size) - log_mu) * e.sum() / (e * lp).sum()
+    return x
+
+
+# No float sum meets a residual_tol of 1e-300 at these targets, so each fit
+# ends when no float is left in its bracket. The root lies far beyond where
+# S(a) is: Newton steps on S, which lower S by at most a factor e each,
+# would need hundreds of steps to get there, past the 200-step cap.
+@pytest.mark.parametrize(
+    ("values", "mu"),
+    [([0.999, 0.5, 0.1], 1e-70), ([1 - 2**-52, 0.5], 1e-75), ([1 - 2**-52, 0.5], 1e-300)],
+)
+def test_solution_reaches_tiny_targets_at_a_tight_residual_tol(values, mu) -> None:
+    out = find_solution(values, mu, FitOptions(residual_tol=1e-300))
+    assert out.status is FitStatus.EXACT
+    assert out.iterations < 200
+    root = longdouble_root(values, mu, out.exponent)
+    assert abs(np.longdouble(out.exponent) - root) <= 4 * math.ulp(out.exponent)
 
 
 @pytest.mark.parametrize("mu", [0.9, 0.6, 0.1])  # clamped low, exact, clamped high

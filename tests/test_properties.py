@@ -12,6 +12,7 @@ from profilefit.fitcore import (
     FitStatus,
     Profile,
     ProfileFitError,
+    ProfileStats,
     apply_exponent,
     classify_feasibility,
     find_search_interval,
@@ -46,6 +47,12 @@ tame_values = st.lists(
 )
 
 exponents = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
+
+# The values at the edges of the positive mask and its log: both zeros
+# (-0.0 is not > 0), the smallest subnormal, the largest float below 1, and 1.
+edge_values = st.lists(
+    st.sampled_from([0.0, -0.0, 5e-324, 1 - 2**-53, 1.0]), min_size=1, max_size=40
+)
 
 NUL_UNREADABLE = "\0" if sys.version_info < (3, 11) else ""
 
@@ -132,6 +139,29 @@ def test_fit_status_is_the_classified_one(values, mu) -> None:
     except ProfileFitError:
         return
     assert out.status is classify_feasibility(profile_stats(p), mu)
+
+
+@given(
+    edge_values,
+    exponents,
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+)
+def test_cached_arrays_match_the_uncached_references(values, x, mu) -> None:
+    v = np.array(values)
+    pos = v[v > 0.0]
+    p = validate_profile(values)
+    assert profile_stats(p) == ProfileStats(
+        m=v.size, r=pos.size, n=int(np.count_nonzero(v == 1.0)), mean=float(v.sum() / v.size)
+    )
+    assert mean_power(p, x) == float(np.sum(pos ** x) / v.size)
+    # Bit for bit, -0.0 included: the rule the benchmark's checker applies.
+    fitted = apply_exponent(p, x)
+    assert fitted.values.tobytes() == np.where(v > 0.0, v ** x, 0.0).tobytes()
+    # A refit, after a fit of another Profile, matches a fit from scratch:
+    # the cached arrays neither go stale nor leak between Profiles.
+    first = find_solution(p, mu)
+    find_solution(fitted, mu)
+    assert find_solution(p, mu) == first == find_solution(validate_profile(values), mu)
 
 
 @given(

@@ -259,7 +259,7 @@ def run_fit(config: CliConfig) -> int:
     stems: dict[str, str] = {}
     for p in paths:
         stem = Path(p).stem
-        if stem in stems and os.path.normpath(stems[stem]) != os.path.normpath(p):
+        if stem in stems:  # expand_inputs already dropped duplicate paths
             print(
                 f"error: inputs {stems[stem]!r} and {p!r} would both write "
                 f"{stem}_fitted.csv; rename one or split the batch",

@@ -118,14 +118,17 @@ class MaxIterationsExceededError(ProfileFitError):
 class Profile:
     """A validated per-unit availability series.
 
-    Holds a read-only float64 array with every value in [0, 1]. Construct
-    through :func:`validate_profile`; code that builds a new float64 array
-    of values known to be in range (e.g. :func:`apply_exponent`) may hand
-    it over directly. The array is not copied, only made read-only, and
-    its values must not change once the Profile is built: the CSV writers
-    reuse text formatted from them, and the fit reuses two arrays derived
-    from them. An array of any other dtype (float32 or big-endian float64
-    too) raises TypeError.
+    Holds a read-only, non-empty, 1-D float64 array with every value in
+    [0, 1]. Construct through :func:`validate_profile`, which also checks
+    the range; code that builds a new float64 array of values known to be
+    in range (e.g. :func:`apply_exponent`) may hand it over directly. The
+    array is not copied, only made read-only, and its values must not
+    change once the Profile is built: the CSV writers reuse text formatted
+    from them, and the fit reuses two arrays derived from them.
+
+    Refuses, in this order, an array of any other dtype (float32 or
+    big-endian float64 too) with TypeError, one that is not 1-D with
+    ValueError, and an empty one with :class:`EmptyProfileError`.
 
     The derived arrays, the positive values and their logs, are built on
     first use and kept, read-only, for the Profile's lifetime. They are not
@@ -138,6 +141,10 @@ class Profile:
     def __post_init__(self):
         if self.values.dtype != np.float64:
             raise TypeError(f"Profile values must be a float64 array, got {self.values.dtype}")
+        if self.values.ndim != 1:
+            raise ValueError(f"expected a 1-D sequence of values, got shape {self.values.shape}")
+        if self.values.size == 0:
+            raise EmptyProfileError()
         self.values.setflags(write=False)
 
     def __len__(self) -> int:
@@ -217,26 +224,23 @@ class FitOutcome:
 def validate_profile(values) -> Profile:
     """Check a sequence of numbers and wrap it as a :class:`Profile`.
 
-    Every value must be finite and within [0, 1], and the sequence must be
-    non-empty. Input order is preserved. The profile holds its own float64
-    copy, so a caller's array is neither aliased nor made read-only. Raises
-    :class:`EmptyProfileError`, :class:`NonFiniteValueError` or
-    :class:`ValueOutOfRangeError` on the first offending value.
+    Every value must be finite and within [0, 1]. Input order is preserved.
+    The profile holds its own float64 copy, so a caller's array is neither
+    aliased nor made read-only. :class:`Profile` refuses a sequence that is
+    not 1-D or is empty; then the first offending value, in input order,
+    raises :class:`NonFiniteValueError` if it is NaN or infinite, else
+    :class:`ValueOutOfRangeError`.
     """
-    arr = np.array(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D sequence of values, got shape {arr.shape}")
-    if arr.size == 0:
-        raise EmptyProfileError()
-    finite = np.isfinite(arr)
-    if not finite.all():
-        idx = int(np.argmin(finite))
-        raise NonFiniteValueError(idx)
-    bad = (arr < 0.0) | (arr > 1.0)
-    if bad.any():
-        idx = int(np.argmax(bad))
-        raise ValueOutOfRangeError(idx, float(arr[idx]))
-    return Profile(arr)
+    p = Profile(np.array(values, dtype=np.float64))
+    v = p.values
+    ok = (v >= 0.0) & (v <= 1.0)  # False for NaN and +-inf too
+    if not ok.all():
+        idx = int(np.argmin(ok))
+        value = float(v[idx])
+        if not math.isfinite(value):
+            raise NonFiniteValueError(idx)
+        raise ValueOutOfRangeError(idx, value)
+    return p
 
 
 def profile_stats(p: Profile) -> ProfileStats:

@@ -339,6 +339,7 @@ BAD_OPTIONS = [
     ("--large-exponent", "inf", "large_exponent must be positive and finite"),
     ("--column", "", "value_column must be non-empty"),
     ("--delimiter", ";;", "delimiter must be a single character"),
+    ("--delimiter", '"', "delimiter must not be a quote, newline or NUL"),
     ("--preamble-lines", "-1", "preamble_lines must be >= 0"),
 ]
 

@@ -69,6 +69,37 @@ def test_validate_rejects_nan_and_inf() -> None:
         validate_profile([math.inf])
 
 
+@pytest.mark.parametrize(
+    "values, error, index",
+    [
+        ([1.5, math.nan], ValueOutOfRangeError, 0),
+        ([math.nan, 1.5], NonFiniteValueError, 0),
+        ([0.5, -math.inf, -0.5], NonFiniteValueError, 1),
+        ([0.5, -0.5, math.inf], ValueOutOfRangeError, 1),
+    ],
+    ids=["range-then-nan", "nan-then-range", "inf-then-range", "range-then-inf"],
+)
+def test_validate_reports_the_first_offending_value(values, error, index) -> None:
+    # One mask finds the first value outside [0, 1] in input order, NaN and
+    # inf included; only then is its kind told apart.
+    with pytest.raises(error) as excinfo:
+        validate_profile(values)
+    assert excinfo.value.index == index
+
+
+@pytest.mark.parametrize(
+    "shape, error",
+    [((0,), EmptyProfileError), ((2, 2), ValueError), ((1, 3), ValueError), ((), ValueError)],
+)
+def test_profile_refuses_an_array_that_is_empty_or_not_1d(shape, error) -> None:
+    # Built directly, an empty Profile was fitted into a ZeroDivisionError,
+    # and a 2-D one was fitted as its flattened values.
+    with pytest.raises(error):
+        Profile(np.full(shape, 0.5))
+    with pytest.raises(error):
+        validate_profile(np.full(shape, 0.5))
+
+
 def test_profile_values_are_read_only() -> None:
     p = validate_profile([0.5, 0.6])
     with pytest.raises(ValueError):

@@ -88,6 +88,14 @@ def test_read_profile_maps_validation_to_file_line(tmp_path) -> None:
     assert excinfo.value.value == 1.2
 
 
+def test_read_profile_reports_the_first_bad_value_whatever_its_kind(tmp_path) -> None:
+    path = tmp_path / "range.csv"
+    path.write_text("m1\nm2\nm3\ntime,electricity\nt0,0.5\nt1,1.2\nt2,nan\n")
+    with pytest.raises(ValueOutOfRangeError) as excinfo:
+        read_profile(path)
+    assert excinfo.value.line == 6
+
+
 def test_read_profile_truncated_preamble(tmp_path) -> None:
     path = tmp_path / "short.csv"
     path.write_text("only one line\n")
@@ -261,12 +269,27 @@ def test_read_profile_full_year_layout(tmp_path) -> None:
 
 
 def test_csv_layout_validation() -> None:
-    with pytest.raises(ValueError):
-        CsvLayout(preamble_lines=-1)
-    with pytest.raises(ValueError):
-        CsvLayout(value_column="")
-    with pytest.raises(ValueError):
-        CsvLayout(delimiter=",,")
+    # A float preamble used to build, then fail every file with TypeError.
+    for field, value, message in [
+        ("preamble_lines", -1, ">= 0"),
+        ("preamble_lines", 1.5, "must be an int"),
+        ("preamble_lines", "3", "must be an int"),
+        ("value_column", "", "non-empty"),
+        ("delimiter", ",,", "single character"),
+        ("delimiter", "", "single character"),
+        *[("delimiter", reserved, "must not be a quote") for reserved in '"\r\n\0'],
+    ]:
+        with pytest.raises(ValueError, match=message):
+            CsvLayout(**{field: value})
+
+
+@pytest.mark.parametrize("delimiter", ['"', "\r", "\n", "\0", ",,"])
+def test_write_profile_refuses_a_delimiter_csv_reserves(tmp_path, delimiter) -> None:
+    # With "\n" a file was written that read_profile could not read back.
+    p = validate_profile([0.5, 0.25])
+    with pytest.raises(ValueError, match="delimiter"):
+        write_profile(tmp_path / "out.csv", ["t0", "t1"], p, p, delimiter=delimiter)
+    assert list(tmp_path.iterdir()) == []  # no output, no .tmp
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +507,9 @@ def test_read_profile_same_result_whatever_the_csv_form(tmp_path, text) -> None:
         ("t_short", CsvParseError, lambda e: e.line_number),
         ('"t_bad",x', CsvParseError, lambda e: e.line_number),
         ("t_bad,1.5", ValueOutOfRangeError, lambda e: e.line),
+        ("t_bad,nan", NonFiniteValueError, lambda e: e.line),
     ],
-    ids=["short-row", "unparseable", "out-of-range"],
+    ids=["short-row", "unparseable", "out-of-range", "non-finite"],
 )
 def test_read_profile_error_lines_on_every_path(
     tmp_path, newline, rows_before, bad_row, error, line_of

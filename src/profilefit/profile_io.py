@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import os
-import weakref
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -264,13 +263,14 @@ def write_profile(
 
     Header is ``time,original,fitted`` when timestamps are given, otherwise
     ``original,fitted``. Floats are rendered with shortest round-trip
-    precision, so reading the file back reproduces them exactly. A timestamp
-    is written as ``format(stamp)``. A delimiter that :class:`CsvLayout`
-    refuses raises ValueError before any file is opened.
+    precision, so reading the file back reproduces them exactly; each
+    distinct value of a column is formatted once, from the Profile's value
+    table. A timestamp is written as ``format(stamp)``. A delimiter that
+    :class:`CsvLayout` refuses raises ValueError before any file is opened.
     """
     _check_delimiter(delimiter)
     header = ["original", "fitted"]
-    columns = [_column_text(original), _column_text(fitted)]
+    columns = [_column_text(p, _distinct_text(p)) for p in (original, fitted)]
     if timestamps is not None:
         header.insert(0, "time")
         columns.insert(0, list(map(format, timestamps)))
@@ -291,75 +291,57 @@ def write_plot_data(path_prefix, original: Profile, fitted: Profile) -> None:
     sorts each column independently in descending order. Both carry
     ``index,original,fitted`` with a 1-based index and are always
     comma-delimited, whatever delimiter the input and ``_fitted.csv`` use.
-    Each distinct value of a column is formatted once, and the column's
-    text is shared with :func:`write_profile` for the same
-    :class:`Profile`; the sorted file is that text reordered by one
-    permutation, a stable descending argsort of ``original`` (and
-    ``fitted``'s own when ``fitted`` does not keep ``original``'s order).
-    So equal values of ``original`` keep their input order, and ``-0.0``
-    ties with ``0.0``.
+    Both files are built from each Profile's value table: each distinct
+    value of a column is formatted once, the chronological column takes
+    that text through the table's inverse, and the sorted column repeats it
+    by the table's counts. ``-0.0`` ties with ``0.0``, and their rows keep
+    input order.
     """
     prefix = str(path_prefix)
     header = ["index", "original", "fitted"]
     index = list(map(str, range(1, len(original) + 1)))
-    original_text = _column_text(original)
-    fitted_text = _column_text(fitted)
-    _write_csv(
-        f"{prefix}_chronological.csv", header, [index, original_text, fitted_text]
-    )
-    # A stable descending order of original also sorts an order-preserving
-    # fit such as apply_exponent's, so one permutation usually serves both.
-    perm = np.argsort(-original.values, kind="stable")
-    _write_csv(
-        f"{prefix}_sorted.csv",
-        header,
-        [
-            index,
-            _descending_text(original, original_text, perm),
-            _descending_text(fitted, fitted_text, perm),
-        ],
-    )
+    profiles = (original, fitted)
+    texts = [_distinct_text(p) for p in profiles]
+    for name, column_text in [("chronological", _column_text), ("sorted", _descending_text)]:
+        _write_csv(f"{prefix}_{name}.csv", header, [index, *map(column_text, profiles, texts)])
 
 
-# Column text by Profile, so that write_profile and write_plot_data, which
-# the CLI calls with the same two Profiles, build each column's text once.
-# With each distinct value formatted once, a second build would still cost
-# about 3.4 ms per annual --plot-data file: the three writes took 19.5 ms
-# without the memo and 16.1 ms with it (2-vCPU host). A Profile hashes by
-# identity and its values never change, so its text never goes stale. The
-# memo holds the last two columns formatted at most, so a caller that keeps
-# its Profiles keeps at most one pair's text with them.
-_COLUMN_TEXT: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+def _distinct_text(profile: Profile) -> np.ndarray:
+    """``repr`` of each distinct value of ``profile``, as an object array in
+    the order of its value table, so ``-0.0`` and ``0.0`` keep their own text."""
+    return np.array(list(map(repr, profile._distinct[0].tolist())), dtype=object)
 
 
-def _column_text(profile: Profile) -> list[str]:
-    """``repr`` of each value of ``profile``, in order; memoised per Profile.
+def _column_text(profile: Profile, text: np.ndarray) -> list[str]:
+    """``profile``'s values in input order, as :func:`_distinct_text`'s ``text``."""
+    return text[profile._distinct[1]].tolist()
 
-    Each distinct bit pattern is formatted once and the column is built by
-    indexing, so ``-0.0`` and ``0.0`` keep their own text. A Profile holds
-    float64 only, so its values are keyed on their 64 bits.
+
+_SIGN_BIT = np.uint64(1 << 63)
+
+
+def _descending_text(profile: Profile, text: np.ndarray) -> list[str]:
+    """``profile``'s values from the largest to the smallest, NaN last, as
+    :func:`_distinct_text`'s ``text``.
+
+    The value table lists the bit patterns in ascending order: the values
+    whose sign bit is clear ascend from ``0.0``, then those whose sign bit is
+    set descend from ``-0.0``, each sign's NaNs after its infinity. So the
+    distinct values are put in order without a sort, and each one's text is
+    repeated by its count. ``-0.0`` ties with ``0.0``: when both occur, their
+    rows keep input order.
     """
-    text = _COLUMN_TEXT.get(profile)
-    if text is None:
-        if len(_COLUMN_TEXT) >= 2:
-            _COLUMN_TEXT.clear()
-        keys, inverse = np.unique(profile.values.view(np.uint64), return_inverse=True)
-        distinct = list(map(repr, keys.view(np.float64).tolist()))
-        text = _COLUMN_TEXT[profile] = list(map(distinct.__getitem__, inverse.tolist()))
-    return text
-
-
-def _descending_text(profile: Profile, text: list[str], perm: np.ndarray) -> list[str]:
-    """``text`` reordered so that ``profile``'s values are non-increasing.
-
-    Uses ``perm`` when it orders them so, else their own stable descending
-    argsort. Equal values have equal text, except ``-0.0`` and ``0.0``,
-    whose order follows the permutation used.
-    """
-    values = profile.values
-    if (np.diff(values[perm]) > 0.0).any():
-        perm = np.argsort(-values, kind="stable")
-    return list(map(text.__getitem__, perm.tolist()))
+    distinct, inverse, counts = profile._distinct
+    split = int(np.searchsorted(distinct.view(np.uint64), _SIGN_BIT))
+    order = np.concatenate([np.arange(split)[::-1], np.arange(split, distinct.size)])
+    nan = np.isnan(distinct[order])
+    order = np.concatenate([order[~nan], order[nan]])
+    column = np.repeat(text[order], counts[order])
+    if 0 < split < distinct.size and distinct[0] == distinct[split] == 0.0:
+        zeros = inverse[(inverse == 0) | (inverse == split)]
+        start = int(counts[distinct > 0.0].sum())
+        column[start : start + zeros.size] = text[zeros]
+    return column.tolist()
 
 
 @contextlib.contextmanager

@@ -10,7 +10,7 @@ import json
 import time
 
 import numpy as np
-from conftest import write_profile_csv
+from conftest import mean_power_derivative, write_profile_csv
 
 from profilefit.cli import EXIT_OK, main
 from profilefit.fitcore import (
@@ -19,7 +19,6 @@ from profilefit.fitcore import (
     find_search_interval,
     find_solution,
     mean_power,
-    mean_power_derivative,
     validate_profile,
 )
 

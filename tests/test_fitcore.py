@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import mean_power_derivative
 
 from profilefit import fitcore
 from profilefit.fitcore import (
@@ -21,7 +22,6 @@ from profilefit.fitcore import (
     find_search_interval,
     find_solution,
     mean_power,
-    mean_power_derivative,
     profile_stats,
     validate_profile,
 )
@@ -107,39 +107,44 @@ def test_profile_values_are_read_only() -> None:
 
 
 @pytest.mark.parametrize(
-    "dtype",
+    "values",
     [
-        "float16",
-        "float32",
-        ">f8",
+        pytest.param(np.zeros(3, dtype=dtype), id=dtype)
+        for dtype in ["float16", "float32", ">f8", "complex128", "int64"]
+    ]
+    + [
         pytest.param(
-            "longdouble",
+            np.zeros(3, dtype=np.longdouble),
+            id="longdouble",
             marks=pytest.mark.skipif(
                 np.dtype(np.longdouble) == np.float64, reason="longdouble is float64 here"
             ),
         ),
-        "complex128",
-        "int64",
+        pytest.param([0.5], id="list"),
+        pytest.param((0.5,), id="tuple"),
     ],
 )
-def test_profile_holds_float64_only(dtype) -> None:
-    # The CSV writers key each value on its 64 bits.
+def test_profile_holds_float64_only(values) -> None:
+    # The value table of the CSV writers keys each value on its 64 bits.
     with pytest.raises(TypeError, match="float64"):
-        Profile(np.zeros(3, dtype=dtype))
+        Profile(values)
 
 
 def test_profile_fields_are_just_values() -> None:
-    # The positive values and their logs are cached on first use, not
-    # fields: Profile stays frozen and compares by identity (its dtype
-    # check is test_profile_holds_float64_only's).
+    # The positive values, their logs and the writers' value table are
+    # cached on first use, not fields: Profile stays frozen and compares by
+    # identity (its dtype check is test_profile_holds_float64_only's). The
+    # fit never builds the table.
     p = validate_profile([0.0, 0.5, 1.0])
-    find_solution(p, 0.4)
+    fitted = apply_exponent(p, find_solution(p, 0.4).exponent)
+    assert "_distinct" not in vars(p) and "_distinct" not in vars(fitted)
     assert [f.name for f in dataclasses.fields(Profile)] == ["values"]
     assert p == p and p != validate_profile([0.0, 0.5, 1.0])
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.values = np.zeros(3)
     assert not p._positive.flags.writeable
     assert not p._log_positive.flags.writeable
+    assert not any(array.flags.writeable for array in p._distinct)
 
 
 def test_validate_neither_aliases_nor_freezes_the_callers_array() -> None:
@@ -176,7 +181,7 @@ def test_stats_all_ones() -> None:
 
 
 # ---------------------------------------------------------------------------
-# mean_power / mean_power_derivative
+# mean_power, and the reference slope mean_power_derivative
 # ---------------------------------------------------------------------------
 
 def test_mean_power_at_zero_is_nonzero_share() -> None:

@@ -12,6 +12,7 @@ import pytest
 from profilefit import profile_io
 from profilefit.fitcore import (
     NonFiniteValueError,
+    Profile,
     ValueOutOfRangeError,
     apply_exponent,
     validate_profile,
@@ -393,11 +394,20 @@ SIGNED_ZEROS = [0.5, -0.0, 0.0, 0.5, 1.0, -0.0, 0.25, 0.0, 1.0, 0.25, -0.0]
 
 
 @pytest.mark.parametrize(
-    "case", ["signed-zeros", "fitted-signed-zeros", "unrelated-fitted", "x=0", "x=1000"]
+    "case",
+    [
+        "signed-zeros",
+        "fitted-signed-zeros",
+        "unrelated-fitted",
+        "x=0",
+        "x=1000",
+        "outside-unit-range",
+    ],
 )
 def test_sorted_plot_file_is_each_column_sorted(tmp_path, case) -> None:
     # Each column must be sorted whatever order the fitted column takes
-    # against original, with ties and signed zeros.
+    # against original, with ties and signed zeros. A Profile built directly
+    # may hold values outside [0, 1], and every one of them is written.
     rng = np.random.default_rng(11)
     original = validate_profile(np.round(rng.uniform(0.0, 1.0, size=1300), 2))
     if case == "signed-zeros":
@@ -405,6 +415,9 @@ def test_sorted_plot_file_is_each_column_sorted(tmp_path, case) -> None:
         fitted = apply_exponent(original, 2.0)
     elif case == "fitted-signed-zeros":
         fitted = validate_profile(SIGNED_ZEROS * 100 + [0.0] * 200)
+    elif case == "outside-unit-range":
+        values = np.array([0.5, -0.25, 0.0, 1.5, -0.0, 0.5] * 20)
+        original, fitted = Profile(values), Profile(values[::-1].copy())
     elif case == "unrelated-fitted":
         fitted = validate_profile(rng.uniform(0.0, 1.0, size=1300))
     else:  # clamped fits: every positive value ties at 1.0, or underflows to 0.0
@@ -463,19 +476,6 @@ def test_written_profiles_are_not_kept_alive(tmp_path) -> None:
     del original, fitted
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
-
-
-def test_kept_profiles_keep_at_most_one_pair_of_text(tmp_path) -> None:
-    # A caller may keep every Profile it wrote; the writers keep no more
-    # than the text of the last pair.
-    kept = []
-    for i in range(4):
-        pair = _awkward_profiles(600 + i)
-        kept.append(pair)
-        write_profile(tmp_path / f"x{i}_fitted.csv", None, *pair)
-        assert len(profile_io._COLUMN_TEXT) <= 2
-        write_plot_data(tmp_path / f"x{i}", *pair)
-        assert len(profile_io._COLUMN_TEXT) <= 2
 
 
 PLAIN = "m1\nm2\nm3\ntime,electricity\nt0,0.5\nt1,0.75\nt2,1\n"

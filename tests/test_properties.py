@@ -21,7 +21,7 @@ from profilefit.fitcore import (
     profile_stats,
     validate_profile,
 )
-from profilefit.profile_io import _column_text
+from profilefit.profile_io import _column_text, _distinct_text
 
 # Any float in [0, 1], with endpoints over-weighted to exercise r and n.
 any_values = st.lists(
@@ -316,4 +316,5 @@ distinct_values = st.tuples(st.integers(1, 9000), st.integers(0, 2**32 - 1)).map
 )
 def test_column_text_is_repr_of_each_value(values) -> None:
     v = np.array(values)
-    assert _column_text(Profile(v)) == list(map(repr, v.tolist()))
+    p = Profile(v)
+    assert _column_text(p, _distinct_text(p)) == list(map(repr, v.tolist()))

@@ -8,12 +8,12 @@ positive value to a common exponent x >= 0 moves the profile mean
 monotonically from r/m at x = 0 (r = count of nonzero values) down to
 n/m as x grows (n = count of values equal to 1). Fitting a target mean
 mu therefore reduces to a scalar root solve of S(x) = mu: a closed-form
-bracket (:func:`find_search_interval`), so no root is out of reach, then a
-safeguarded Newton iteration on log S(x) = log mu (:func:`bisect_root`,
-named after the plain bisection it replaced). log S is convex and
-decreasing, so Newton steps from the left end of the bracket approach the
-root from one side; a bisection step is taken only when a Newton step is
-undefined or leaves the bracket. Targets outside the reachable band
+bracket (:func:`find_search_interval`), so no root is out of reach, then
+Newton steps on log S(x) = log mu from the bracket's left end
+(:func:`bisect_root`, a historical name: it no longer bisects). log S is
+convex and decreasing, so those steps approach the root from one side and
+need no fallback; the solve stops at the residual tolerance, or where
+rounding ends their progress. Targets outside the reachable band
 (n/m, r/m] are clamped to x = 0 or to a large fallback exponent;
 :func:`classify_feasibility` gives the :class:`FitStatus` of each case.
 
@@ -332,6 +332,13 @@ def find_search_interval(p: Profile, mu: float) -> tuple[float, float]:
     return (max(0.0, log_q / float(inner.mean()) - slack), b + slack)
 
 
+def _mean_and_slope(p: Profile, x: float) -> tuple[float, float]:
+    """S(x) and S'(x) from one ``e = exp(x * log p)`` over the profile's cached logs."""
+    e = np.exp(x * p._log_positive)
+    m = p.values.size
+    return float(e.sum() / m), float(e.dot(p._log_positive) / m)
+
+
 def bisect_root(
     p: Profile,
     mu: float,
@@ -342,80 +349,67 @@ def bisect_root(
     """Solve S(x) = mu on a bracket [a, b] with S(a) >= mu >= S(b).
 
     Returns ``(x, iterations, S(x))``, with S(x) as :func:`mean_power`
-    computes it. The name is kept from the plain bisection this replaced.
-    Each step evaluates ``e = exp(x * log p)`` once, with the profile's
-    cached ``log p``, and reads both S(x) and S'(x) from it. The steps are
-    Newton's on log S(x) = log mu, ``x - log(S / mu) * S / S'``: log S is
-    convex and decreasing too, so from a point where S > mu the step never
-    passes the root, and it lowers S by any factor in one step, where a
-    step on S itself lowers it by at most a factor e. Newton starts at
-    ``a``, whose residual also checks the bracket; it reaches ``b`` only if
-    the root lies there or beyond, which is checked once the bracket
-    shrinks onto ``b``. A bracket that does not straddle mu, or a mu that
-    is not positive, raises ValueError. The step falls back to the bracket
-    midpoint whenever it is undefined (S underflows to 0, or its slope is
-    0), not finite or outside the current bracket (lo, hi).
+    computes it. The name is historical: the solve takes only Newton steps
+    on log S(x) = log mu, ``x - log(S / mu) * S / S'``, from ``a``, each
+    reading S and S' from one ``exp(x * log p)``. log S is convex and
+    decreasing, so a step from where S > mu never passes the root, and it
+    lowers S by any factor, where a step on S itself lowers it by at most a
+    factor e. Where S is flat and above mu the step goes to ``b``, which is
+    read only when a step reaches it: the step stops there unless S(b)
+    exceeds mu by more than residual_tol / 2. That, an S(a) below mu by
+    more than residual_tol / 2, a ``b`` below ``a`` or NaN, and a mu that
+    is not positive raise ValueError.
 
     Once the exp-form residual is within residual_tol / 2 (at ``a``, after
-    zero iterations), the Newton step from it, which needs no exp, is
+    zero iterations), the step, which lands within rounding of the root, is
     returned if |S(x) - mu| <= residual_tol holds there for
-    :func:`mean_power` itself. It also stops, at the midpoint, once no float
-    is left between the bracket ends, whatever the scale of the root. It
+    :func:`mean_power`. A step that does not move x right shows that
+    rounding has set in (a slope that underflowed to a subnormal can carry
+    x past the root); from then on each step must be shorter than the last.
+    When a step does not move x or no longer shrinks, rounding has the last
+    word: of x, the step, the point before x and the floats either side of
+    x, the one whose :func:`mean_power` is closest to mu is returned. It
     raises :class:`MaxIterationsExceededError` after 200 steps.
     """
     if opts is None:
         opts = FitOptions()
-    if a > b:
-        raise ValueError(f"invalid bracket: a={a!r} > b={b!r}")
+    if not a <= b:  # also catches nan
+        raise ValueError(f"invalid bracket [{a!r}, {b!r}]: need a <= b")
     if not mu > 0.0:  # also catches nan; log S has no root at mu <= 0
         raise ValueError(f"target mean must be positive, got {mu!r}")
     tol = opts.residual_tol
-    lp = p._log_positive
-    m = p.values.size
-
-    def mean_and_slope(x: float) -> tuple[float, float]:
-        e = np.exp(x * lp)
-        return float(e.sum() / m), float(e.dot(lp) / m)
-
-    def newton(x: float, s: float, slope: float) -> float:
-        """The Newton step from x on log S = log mu; x itself where it is undefined."""
-        if s > 0.0 and slope != 0.0:
-            # log1p of the residual, which s - mu gives exactly near the
-            # root, where log(s) - log(mu) would carry |log mu| rounding units.
-            return x - math.log1p((s - mu) / mu) * s / slope
-        return x
 
     def no_straddle() -> ValueError:
         return ValueError(f"bracket [{a!r}, {b!r}] does not straddle the target mean {mu!r}")
 
-    lo, hi = float(a), float(b)
-    x = lo
-    s, slope = mean_and_slope(x)
+    prev = x = float(a)
+    turned = False
+    s, slope = _mean_and_slope(p, x)
     if s - mu < -0.5 * tol:
         raise no_straddle()
     for iteration in range(_MAX_ITER + 1):
-        if iteration:
-            x = newton(x, s, slope)
-            if not lo < x < hi:  # also catches nan and x itself, now lo or hi
-                x = mid  # of the bracket as the last step left it
-            s, slope = mean_and_slope(x)
-        f = s - mu
-        if abs(f) <= 0.5 * tol:
-            # One more Newton step from this residual needs no exp, and lands
-            # within rounding of the root rather than within the tolerance.
-            root = min(max(newton(x, s, slope), lo), hi)
+        if s > 0.0 and slope != 0.0:
+            # log1p of the residual, which s - mu gives exactly near the
+            # root, where log(s) - log(mu) would carry |log mu| rounding units.
+            step = x - math.log1p((s - mu) / mu) * s / slope
+        else:  # S underflowed to 0, or is flat
+            step = math.inf if s > mu else x
+        if step >= b:  # >=, so that a step to b = inf is checked too
+            if mean_power(p, b) - mu > 0.5 * tol:
+                raise no_straddle()
+            step = b
+        if abs(s - mu) <= 0.5 * tol:
+            root = max(step, a)
             achieved = mean_power(p, root)
             if abs(achieved - mu) <= tol:
                 return (root, iteration, achieved)
-        if f > 0.0:
-            lo = x
-        else:
-            hi = x
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # no float is left inside the bracket
-            if hi == b and mean_and_slope(b)[0] > mu:
-                raise no_straddle()
-            return (mid, iteration, mean_power(p, mid))
+        turned = turned or not step > x  # also catches nan
+        if step == x or turned and not abs(step - x) < abs(x - prev):
+            near = (x, max(step, a), prev, math.nextafter(x, a), math.nextafter(x, b))
+            root = min(near, key=lambda t: abs(mean_power(p, t) - mu))
+            return (root, iteration, mean_power(p, root))
+        prev, x = x, max(step, a)
+        s, slope = _mean_and_slope(p, x)
     raise MaxIterationsExceededError(_MAX_ITER)
 
 
@@ -425,9 +419,9 @@ def find_solution(p, mu: float, opts: FitOptions | None = None) -> FitOutcome:
     ``p`` may be a :class:`Profile` or any raw sequence, which is validated
     first; ``mu`` must lie in (0, 1), else :class:`TargetOutOfRangeError`.
     The status is :func:`classify_feasibility`'s: targets in (n/m, r/m] are
-    solved exactly (closed-form bracket + safeguarded Newton), whatever the
-    size of the root; a target above r/m clamps to exponent 0, a target at
-    or below n/m to ``opts.large_exponent``.
+    solved exactly (closed-form bracket + Newton from its left end),
+    whatever the size of the root; a target above r/m clamps to exponent 0,
+    a target at or below n/m to ``opts.large_exponent``.
     The outcome carries the profile's :class:`ProfileStats`.
     """
     if not isinstance(p, Profile):

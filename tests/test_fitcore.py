@@ -218,6 +218,11 @@ def test_derivative_matches_closed_form_and_finite_difference() -> None:
     h = 1e-6
     fd = (mean_power(p, 1.0 + h) - mean_power(p, 1.0 - h)) / (2 * h)
     assert got == pytest.approx(fd, abs=1e-6)
+    # The exp-form S and slope that the solver's Newton steps read.
+    for x in (0.0, 0.3, 1.0, 7.5):
+        s, slope = fitcore._mean_and_slope(p, x)
+        assert s == pytest.approx(mean_power(p, x), rel=1e-15)
+        assert slope == pytest.approx(mean_power_derivative(p, x), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +364,15 @@ def test_bisect_matches_grid_oracle() -> None:
     assert iterations > 0
 
 
+def test_bisect_finds_the_root_with_an_infinite_right_end() -> None:
+    # Newton from a never reaches b, so b = inf is never evaluated.
+    p = validate_profile([0.25, 0.5, 0.75])
+    x, iterations, achieved = bisect_root(p, 0.6, 0.0, math.inf)
+    assert x == pytest.approx(GRID_ORACLE_X, abs=1e-6)
+    assert abs(achieved - 0.6) <= 1e-10
+    assert achieved == mean_power(p, x)
+
+
 def test_bisect_degenerate_bracket() -> None:
     p = validate_profile([0.5])
     assert bisect_root(p, 0.5, 1.0, 1.0) == (1.0, 0, 0.5)
@@ -375,15 +389,38 @@ def near_one_root(mu: float) -> float:
 
 
 @pytest.mark.parametrize("mu", [3e-3, 1e-4])  # roots 5805 and 9205
-def test_bisect_stops_when_no_float_is_left_in_the_bracket(mu) -> None:
+def test_bisect_stops_where_rounding_ends_the_newton_steps(mu) -> None:
     p = validate_profile(NEAR_ONE)
     a, b = find_search_interval(p, mu)
     x, iterations, achieved = bisect_root(p, mu, a, b, FitOptions(residual_tol=1e-300))
-    # Not the residual test, which |achieved - mu| > 1e-300 fails: the
-    # bracket closed on the root, within rounding of its closed form.
+    # Not the residual test, which |achieved - mu| > 1e-300 fails: the steps
+    # stopped moving x, within rounding of the root's closed form.
     assert achieved != mu
     assert abs(x - near_one_root(mu)) <= 2 * math.ulp(x)
     assert iterations <= 10
+
+
+@pytest.mark.parametrize(
+    ("values", "mu"),
+    [
+        # S'(x) = S(x) * log p is about 1e-320 here, a subnormal with a few
+        # significant bits, so a step lands past the root. The steps back
+        # must shrink onto it: stopping at the first of them left a relative
+        # residual of 3.5e-7.
+        (1.0 - np.random.default_rng(0).random(30) * 1e-13, 5e-308),
+        # The last Newton point is one float off the best one: 9.5e-14.
+        (np.random.default_rng(0).random(3), 1e-300),
+    ],
+)
+def test_bisect_ends_on_the_best_float_when_the_tolerance_cannot_be_met(values, mu) -> None:
+    p = validate_profile(values)
+    a, b = find_search_interval(p, mu)
+    x, iterations, achieved = bisect_root(p, mu, a, b, FitOptions(residual_tol=5e-324))
+    assert a <= x <= b
+    assert achieved == mean_power(p, x)
+    assert abs(achieved - mu) <= 1e-12 * mu
+    for side in (-math.inf, math.inf):
+        assert abs(achieved - mu) <= abs(mean_power(p, math.nextafter(x, side)) - mu)
 
 
 def test_bisect_iteration_cap(monkeypatch) -> None:
@@ -401,6 +438,12 @@ def test_bisect_rejects_a_target_that_is_not_positive(mu) -> None:
         bisect_root(validate_profile([0.25, 0.5]), mu, 0.0, 1.0)
 
 
+@pytest.mark.parametrize(("a", "b"), [(1.0, 0.0), (math.nan, 1.0), (0.0, math.nan)])
+def test_bisect_rejects_an_invalid_bracket(a, b) -> None:
+    with pytest.raises(ValueError, match="invalid bracket"):
+        bisect_root(validate_profile([0.25, 0.5, 0.75]), 0.6, a, b)
+
+
 def test_bisect_rejects_sign_preserving_bracket() -> None:
     p = validate_profile([0.25, 0.5, 0.75])
     with pytest.raises(ValueError, match="does not straddle"):
@@ -409,6 +452,10 @@ def test_bisect_rejects_sign_preserving_bracket() -> None:
         bisect_root(p, 0.6, 0.0, 0.5)  # S > mu on both endpoints
     with pytest.raises(ValueError, match="does not straddle"):
         bisect_root(p, 0.6, 0.5, 0.5)  # a degenerate bracket off the root
+    ones = validate_profile([1.0, 1.0])  # S = 1 for every x: its slope is 0
+    for b in (5.0, math.inf):
+        with pytest.raises(ValueError, match="does not straddle"):
+            bisect_root(ones, 0.5, 0.0, b)
 
 
 # ---------------------------------------------------------------------------
@@ -531,9 +578,10 @@ def longdouble_root(values, mu: float, x: float) -> np.longdouble:
 
 
 # No float sum meets a residual_tol of 1e-300 at these targets, so each fit
-# ends when no float is left in its bracket. The root lies far beyond where
-# S(a) is: Newton steps on S, which lower S by at most a factor e each,
-# would need hundreds of steps to get there, past the 200-step cap.
+# ends where rounding stops the Newton steps from moving x. The root lies
+# far beyond where S(a) is: Newton steps on S, which lower S by at most a
+# factor e each, would need hundreds of steps to get there, past the
+# 200-step cap; Newton on log S needs 2.
 @pytest.mark.parametrize(
     ("values", "mu"),
     [([0.999, 0.5, 0.1], 1e-70), ([1 - 2**-52, 0.5], 1e-75), ([1 - 2**-52, 0.5], 1e-300)],
@@ -541,7 +589,7 @@ def longdouble_root(values, mu: float, x: float) -> np.longdouble:
 def test_solution_reaches_tiny_targets_at_a_tight_residual_tol(values, mu) -> None:
     out = find_solution(values, mu, FitOptions(residual_tol=1e-300))
     assert out.status is FitStatus.EXACT
-    assert out.iterations < 200
+    assert out.iterations <= 5
     root = longdouble_root(values, mu, out.exponent)
     assert abs(np.longdouble(out.exponent) - root) <= 4 * math.ulp(out.exponent)
 

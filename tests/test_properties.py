@@ -172,8 +172,8 @@ def test_cached_arrays_match_the_uncached_references(values, x, mu) -> None:
         st.floats(min_value=1e-9, max_value=1e-2),
         st.floats(min_value=1e-6, max_value=1.0),
     ),
-    # The default, and one that few fits can meet, so that most stop when
-    # no float is left inside their bracket.
+    # The default, and one that few fits can meet, so that most stop where
+    # rounding ends the Newton steps.
     st.sampled_from([1e-10, 1e-300]),
 )
 @example([0.999], 1e-4, 1e-300)  # root 9206, where ulp(x) = 1.8e-12

@@ -52,8 +52,6 @@ EXIT_ERROR = 1
 EXIT_CLAMPED = 2
 EXIT_USAGE = 64
 
-JOBS_ENV_VAR = "PROFILEFIT_JOBS"
-
 
 class ManifestMissingEntryError(ProfileFitError):
     def __init__(self, path: str):
@@ -76,8 +74,12 @@ def _default_jobs() -> int:
 class CliConfig:
     """Resolved command-line options for one batch run.
 
-    ``layout``, ``options`` and ``jobs`` are checked when built, so a config
-    made in code obeys the same rules as one parsed from argv.
+    Every rule of a batch is checked here, or by ``layout`` and ``options``
+    when they are built, so a config made in code obeys the same rules as
+    one parsed from argv. Raises ValueError, naming the field, for empty
+    ``inputs``, neither ``target`` nor ``manifest``, a ``target`` outside
+    (0, 1) or NaN, and a ``jobs`` that is a bool or not an int >= 1.
+    Manifest targets are checked when read, by :func:`resolve_targets`.
     """
 
     inputs: list[str]
@@ -91,7 +93,13 @@ class CliConfig:
     jobs: int = field(default_factory=_default_jobs)
 
     def __post_init__(self):
-        if not isinstance(self.jobs, int) or self.jobs < 1:
+        if not self.inputs:
+            raise ValueError("inputs must name at least one file or pattern")
+        if self.target is None and self.manifest is None:
+            raise ValueError("target or manifest is required")
+        if self.target is not None and not 0.0 < self.target < 1.0:  # also catches nan
+            raise ValueError(f"target must lie in (0, 1), got {self.target!r}")
+        if isinstance(self.jobs, bool) or not isinstance(self.jobs, int) or self.jobs < 1:
             raise ValueError(f"jobs must be an integer >= 1, got {self.jobs!r}")
 
 
@@ -325,18 +333,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _target_value(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(
-            f"target capacity factor must lie strictly between 0 and 1, got {text}"
-        )
-    return value
-
-
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="profilefit",
@@ -356,7 +352,7 @@ def _build_parser() -> _ArgumentParser:
     parser.add_argument(
         "-t",
         "--target",
-        type=_target_value,
+        type=float,
         help="target capacity factor in (0, 1), applied to all inputs",
     )
     parser.add_argument(
@@ -401,7 +397,7 @@ def _build_parser() -> _ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help=f"worker processes (default: ${JOBS_ENV_VAR} or the usable CPU count)",
+        help="worker processes (default: the usable CPU count)",
     )
     parser.add_argument(
         "--residual-tol",
@@ -409,54 +405,28 @@ def _build_parser() -> _ArgumentParser:
         default=FitOptions.residual_tol,
         help="convergence tolerance on |achieved - target| (default: %(default)s)",
     )
-    parser.add_argument(
-        "--large-exponent",
-        type=float,
-        default=FitOptions.large_exponent,
-        help="fallback exponent for targets at or below n/m (default: %(default)s)",
-    )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     return parser
 
 
 def parse_args(argv: list[str] | None = None) -> CliConfig:
     """Turn argv into a validated CliConfig; raises on usage errors."""
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    if not ns.inputs:
-        raise _UsageError("at least one --input is required")
-    if ns.target is None and ns.manifest is None:
-        raise _UsageError("either --target or --manifest is required")
-
-    jobs = ns.jobs
-    if jobs is None:
-        env = os.environ.get(JOBS_ENV_VAR)
-        try:
-            jobs = _default_jobs() if env is None else int(env)
-        except ValueError:
-            jobs = 0  # refused by CliConfig, and reported by the variable's name
-    try:  # the layout and solver rules live in the types themselves
-        layout = CsvLayout(
-            preamble_lines=ns.preamble_lines, value_column=ns.column, delimiter=ns.delimiter
-        )
-        options = FitOptions(residual_tol=ns.residual_tol, large_exponent=ns.large_exponent)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    try:
+    ns = _build_parser().parse_args(argv)
+    try:  # every rule lives in the types themselves
         return CliConfig(
-            inputs=list(ns.inputs),
+            inputs=ns.inputs or [],
             target=ns.target,
             manifest=ns.manifest,
-            layout=layout,
-            options=options,
+            layout=CsvLayout(
+                preamble_lines=ns.preamble_lines, value_column=ns.column, delimiter=ns.delimiter
+            ),
+            options=FitOptions(residual_tol=ns.residual_tol),
             out_dir=ns.out_dir,
             emit_plot_data=ns.emit_plot_data,
             allow_clamp=ns.allow_clamp,
-            jobs=jobs,
+            jobs=_default_jobs() if ns.jobs is None else ns.jobs,
         )
-    except ValueError as exc:  # the jobs rule, CliConfig's only check
-        if ns.jobs is None:  # the count came from the environment
-            raise _UsageError(f"{JOBS_ENV_VAR} must be an integer >= 1, got {env!r}") from None
+    except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
 

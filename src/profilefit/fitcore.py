@@ -14,7 +14,7 @@ Newton steps on log S(x) = log mu from the bracket's left end
 convex and decreasing, so those steps approach the root from one side and
 need no fallback; the solve stops at the residual tolerance, or where
 rounding ends their progress. Targets outside the reachable band
-(n/m, r/m] are clamped to x = 0 or to a large fallback exponent;
+(n/m, r/m] are clamped to x = 0 or to a fixed exponent of 1000;
 :func:`classify_feasibility` gives the :class:`FitStatus` of each case.
 
 The fit's operations read the positive values and their logs from the
@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,22 +207,19 @@ class ProfileStats:
 
 @dataclass(frozen=True)
 class FitOptions:
-    """The residual tolerance of the root solve, and the exponent of a ``CLAMPED_HIGH`` fit."""
+    """The residual tolerance of the root solve; ValueError unless positive and finite."""
 
     residual_tol: float = 1e-10
-    large_exponent: float = 1000.0
 
     def __post_init__(self):
-        for name in ("residual_tol", "large_exponent"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not (math.isfinite(self.residual_tol) and self.residual_tol > 0.0):
+            raise ValueError(f"residual_tol must be positive and finite, got {self.residual_tol!r}")
 
 
 class FitStatus(enum.Enum):
     EXACT = "exact"
     CLAMPED_LOW = "clamped_low"    # exponent forced to 0
-    CLAMPED_HIGH = "clamped_high"  # exponent forced to the large fallback
+    CLAMPED_HIGH = "clamped_high"  # exponent forced to 1000
 
 
 @dataclass(frozen=True)
@@ -284,7 +282,7 @@ def classify_feasibility(stats: ProfileStats, mu: float) -> FitStatus:
     """The status a fit to ``mu`` gets: S(x) = mu has a root iff n/m < mu <= r/m.
 
     ``EXACT`` inside that band, ``CLAMPED_LOW`` (exponent 0) for a target
-    above r/m, ``CLAMPED_HIGH`` (the large fallback exponent) for one at or
+    above r/m, ``CLAMPED_HIGH`` (a fixed exponent of 1000) for one at or
     below n/m.
     """
     if mu > stats.max_reachable:
@@ -301,6 +299,8 @@ def classify_feasibility(stats: ProfileStats, mu: float) -> FitStatus:
 # needed at most 8 eps for S(a) >= mu >= S(b) to hold as computed.
 _BRACKET_SLACK = 64.0 * math.ulp(1.0)
 _MAX_ITER = 200  # the step cap of bisect_root
+_MIN_NORMAL = sys.float_info.min  # an S' below it has lost bits to underflow
+_CLAMPED_HIGH_EXPONENT = 1000.0  # the exponent of a CLAMPED_HIGH fit
 
 
 def find_search_interval(p: Profile, mu: float) -> tuple[float, float]:
@@ -339,6 +339,17 @@ def _mean_and_slope(p: Profile, x: float) -> tuple[float, float]:
     return float(e.sum() / m), float(e.dot(p._log_positive) / m)
 
 
+def _log_slope(p: Profile, x: float, s: float) -> float:
+    """S'(x) / S(x) from ``exp(x * log p - log S)``, whose terms sum to about m.
+
+    Where S is near the smallest normal float or below it, S'(x) is a
+    subnormal of a few bits or underflows to 0, but this keeps full
+    precision. It is 0 where S is flat.
+    """
+    e = np.exp(x * p._log_positive - math.log(s))
+    return float(e.dot(p._log_positive) / e.sum())
+
+
 def bisect_root(
     p: Profile,
     mu: float,
@@ -351,7 +362,9 @@ def bisect_root(
     Returns ``(x, iterations, S(x))``, with S(x) as :func:`mean_power`
     computes it. The name is historical: the solve takes only Newton steps
     on log S(x) = log mu, ``x - log(S / mu) * S / S'``, from ``a``, each
-    reading S and S' from one ``exp(x * log p)``. log S is convex and
+    reading S and S' from one ``exp(x * log p)``; where S' is below the
+    smallest normal float, S'/S is read again at S's own scale, from
+    ``exp(x * log p - log S)``, so that no bits are lost. log S is convex and
     decreasing, so a step from where S > mu never passes the root, and it
     lowers S by any factor, where a step on S itself lowers it by at most a
     factor e. Where S is flat and above mu the step goes to ``b``, which is
@@ -364,8 +377,7 @@ def bisect_root(
     zero iterations), the step, which lands within rounding of the root, is
     returned if |S(x) - mu| <= residual_tol holds there for
     :func:`mean_power`. A step that does not move x right shows that
-    rounding has set in (a slope that underflowed to a subnormal can carry
-    x past the root); from then on each step must be shorter than the last.
+    rounding has set in; from then on each step must be shorter than the last.
     When a step does not move x or no longer shrinks, rounding has the last
     word: of x, the step, the point before x and the floats either side of
     x, the one whose :func:`mean_power` is closest to mu is returned. It
@@ -388,10 +400,13 @@ def bisect_root(
     if s - mu < -0.5 * tol:
         raise no_straddle()
     for iteration in range(_MAX_ITER + 1):
-        if s > 0.0 and slope != 0.0:
+        if s > 0.0 and abs(slope) >= _MIN_NORMAL:
             # log1p of the residual, which s - mu gives exactly near the
             # root, where log(s) - log(mu) would carry |log mu| rounding units.
             step = x - math.log1p((s - mu) / mu) * s / slope
+        elif s > 0.0 and (log_slope := _log_slope(p, x, s)) < 0.0:
+            # S' is subnormal or 0, but S'/S, read at S's own scale, is not.
+            step = x - math.log1p((s - mu) / mu) / log_slope
         else:  # S underflowed to 0, or is flat
             step = math.inf if s > mu else x
         if step >= b:  # >=, so that a step to b = inf is checked too
@@ -421,13 +436,11 @@ def find_solution(p, mu: float, opts: FitOptions | None = None) -> FitOutcome:
     The status is :func:`classify_feasibility`'s: targets in (n/m, r/m] are
     solved exactly (closed-form bracket + Newton from its left end),
     whatever the size of the root; a target above r/m clamps to exponent 0,
-    a target at or below n/m to ``opts.large_exponent``.
+    a target at or below n/m to a fixed exponent of 1000.
     The outcome carries the profile's :class:`ProfileStats`.
     """
     if not isinstance(p, Profile):
         p = validate_profile(p)
-    if opts is None:
-        opts = FitOptions()
     mu = float(mu)
     if not 0.0 < mu < 1.0:
         raise TargetOutOfRangeError(mu)
@@ -435,7 +448,7 @@ def find_solution(p, mu: float, opts: FitOptions | None = None) -> FitOutcome:
     stats = profile_stats(p)
     status = classify_feasibility(stats, mu)
     if status is not FitStatus.EXACT:
-        x = 0.0 if status is FitStatus.CLAMPED_LOW else float(opts.large_exponent)
+        x = 0.0 if status is FitStatus.CLAMPED_LOW else _CLAMPED_HIGH_EXPONENT
         return FitOutcome(
             exponent=x,
             achieved_mean=mean_power(p, x),

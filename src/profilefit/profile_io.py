@@ -73,9 +73,10 @@ class CsvLayout:
     The default matches files whose header sits on line 4 below three
     metadata lines, with the profile in an "electricity" column.
 
-    Raises ValueError for a ``preamble_lines`` that is not an int or is
-    negative, an empty ``value_column``, or a ``delimiter`` that is not one
-    character or is one that csv reserves: ``"``, ``\\r``, ``\\n`` or NUL.
+    Raises ValueError for a ``preamble_lines`` that is a bool, is not an
+    int or is negative, an empty ``value_column``, or a ``delimiter`` that
+    is not one character or is one that csv reserves: ``"``, ``\\r``,
+    ``\\n`` or NUL.
     """
 
     preamble_lines: int = 3
@@ -84,7 +85,7 @@ class CsvLayout:
     delimiter: str = ","
 
     def __post_init__(self):
-        if not isinstance(self.preamble_lines, int):
+        if isinstance(self.preamble_lines, bool) or not isinstance(self.preamble_lines, int):
             raise ValueError(f"preamble_lines must be an int, got {self.preamble_lines!r}")
         if self.preamble_lines < 0:
             raise ValueError("preamble_lines must be >= 0")

@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,13 +106,23 @@ def test_allow_clamp_turns_clamp_into_success(tmp_path) -> None:
 
 
 def test_usage_errors_exit_64(tmp_path, capsys) -> None:
-    assert main([]) == EXIT_USAGE
-    assert main(["-i", "a.csv"]) == EXIT_USAGE  # no target
-    assert main(["-i", "a.csv", "-t", "1.5"]) == EXIT_USAGE
-    assert main(["-i", "a.csv", "-t", "0.5", "--jobs", "0"]) == EXIT_USAGE
-    assert main(["--no-such-flag"]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "usage error" in err
+    # Each error names the CliConfig field whose rule refuses it.
+    for argv, message in [
+        ([], "inputs must name at least one"),
+        (["-i", "a.csv"], "target or manifest is required"),
+        (["-i", "a.csv", "-t", "1.5"], "target must lie in (0, 1), got 1.5"),
+        (
+            ["-i", "a.csv", "-t", "nan", "--manifest", "m.csv"],
+            "target must lie in (0, 1), got nan",
+        ),
+        (["-i", "a.csv", "-t", "0.5", "--jobs", "0"], "jobs must be an integer >= 1, got 0"),
+        (["-i", "a.csv", "-t", "half"], "invalid float value: 'half'"),
+        (["-i", "a.csv", "-t", "0.5", "--large-exponent", "5"], "unrecognized arguments"),
+        (["--no-such-flag"], "unrecognized arguments"),
+    ]:
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and message in err, (argv, err)
 
 
 def test_unmatched_glob_exits_usage(tmp_path) -> None:
@@ -276,32 +288,45 @@ def test_manifest_run_exits_error_on_missing_entry(tmp_path, wind_csv) -> None:
     assert code == EXIT_ERROR
 
 
-def test_jobs_env_var_fallback(monkeypatch, capsys) -> None:
-    monkeypatch.setenv("PROFILEFIT_JOBS", "5")
-    config = parse_args(["-i", "a.csv", "-t", "0.5"])
-    assert config.jobs == 5
-    monkeypatch.setenv("PROFILEFIT_JOBS", "nope")
-    assert main(["-i", "a.csv", "-t", "0.5"]) == EXIT_USAGE
-    for value in ("0", "-3"):
-        monkeypatch.setenv("PROFILEFIT_JOBS", value)
-        assert main(["-i", "a.csv", "-t", "0.5"]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert f"PROFILEFIT_JOBS must be an integer >= 1, got '{value}'" in err
-        assert "--jobs" not in err
-
-
-@pytest.mark.parametrize("jobs", [0, -3, 2.0, "2"])
+@pytest.mark.parametrize("jobs", [0, -3, 2.0, "2", True, False])
 def test_cli_config_refuses_a_bad_jobs(tmp_path, jobs) -> None:
     with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
         CliConfig(inputs=[str(tmp_path / "a.csv")], target=0.5, jobs=jobs)
 
 
-def test_jobs_flag_overrides_env(monkeypatch) -> None:
-    monkeypatch.setenv("PROFILEFIT_JOBS", "5")
+# Every batch rule of CliConfig: (fields, the message that names the field).
+BAD_CONFIGS = [
+    ({"inputs": [], "target": 0.4}, "inputs must name at least one"),
+    ({"inputs": ["a.csv"]}, "target or manifest is required"),
+    ({"inputs": ["a.csv"], "target": math.nan, "manifest": "m.csv"}, "target must lie in"),
+    ({"inputs": ["a.csv"], "target": 1.5}, "target must lie in"),
+    ({"inputs": ["a.csv"], "target": 0.0}, "target must lie in"),
+]
+
+
+@pytest.mark.parametrize(
+    "fields, message", BAD_CONFIGS, ids=["no_inputs", "no_target", "nan", "above_1", "zero"]
+)
+def test_cli_config_refuses_a_bad_batch(fields, message) -> None:
+    with pytest.raises(ValueError, match=message):
+        CliConfig(jobs=1, **fields)
+
+
+def test_jobs_flag_sets_a_frozen_config() -> None:
     config = parse_args(["-i", "a.csv", "-t", "0.5", "-j", "2"])
     assert config.jobs == 2
     with pytest.raises(AttributeError):  # frozen, so it stays valid
         config.jobs = 0
+
+
+def test_readme_flag_table_lists_every_option() -> None:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    cells = [line.split("|")[1] for line in readme.splitlines() if line.startswith("| `-")]
+    words = [word.strip("`,") for cell in cells for word in cell.split()]
+    listed = [word for word in words if word.startswith("-")]
+    parsed = {s for action in cli._build_parser()._actions for s in action.option_strings}
+    assert len(listed) == len(set(listed))
+    assert set(listed) == parsed - {"-h", "--help"}
 
 
 def test_version_flag(capsys) -> None:
@@ -334,9 +359,7 @@ def test_parallel_jobs_match_serial(tmp_path) -> None:
 # the CsvLayout or FitOptions check that rejects it, which names its field).
 BAD_OPTIONS = [
     ("--residual-tol", "nan", "residual_tol must be positive and finite"),
-    ("--large-exponent", "nan", "large_exponent must be positive and finite"),
     ("--residual-tol", "inf", "residual_tol must be positive and finite"),
-    ("--large-exponent", "inf", "large_exponent must be positive and finite"),
     ("--column", "", "value_column must be non-empty"),
     ("--delimiter", ";;", "delimiter must be a single character"),
     ("--delimiter", '"', "delimiter must not be a quote, newline or NUL"),

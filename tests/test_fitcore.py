@@ -327,13 +327,14 @@ def test_bracket_holds_roots_past_the_old_cap(values, mu, root) -> None:
 
 
 def test_large_exponent_does_not_cap_exact_roots() -> None:
-    opts = FitOptions(large_exponent=3.0)
-    # Root for mu=0.1 is log2(10) = 3.32, beyond the large exponent of 3.
-    a, b, out = _assert_bracket_holds_root(validate_profile([0.5, 0.5]), 0.1, opts)
-    assert out.exponent == pytest.approx(math.log2(10.0), rel=1e-12)
-    # large_exponent is only the exponent of a clamped_high fit.
-    high = find_solution([1.0, 0.5], 0.5, opts)
-    assert (high.status, high.exponent) == (FitStatus.CLAMPED_HIGH, 3.0)
+    # The root for mu = 0.1 is log(0.1) / log(0.999) = 2301.4, beyond the
+    # fixed exponent of 1000 that a clamped_high fit gets.
+    a, b, out = _assert_bracket_holds_root(validate_profile([0.999, 0.999]), 0.1)
+    assert out.exponent == pytest.approx(math.log(0.1) / math.log(0.999), rel=1e-12)
+    assert out.exponent > 1000.0
+    # 1000 is only the exponent of a clamped_high fit.
+    high = find_solution([1.0, 0.5], 0.5)
+    assert (high.status, high.exponent) == (FitStatus.CLAMPED_HIGH, 1000.0)
 
 
 @pytest.mark.parametrize("mu", [0.8, 0.5, 0.4])  # above r/m, at n/m, below n/m
@@ -404,9 +405,8 @@ def test_bisect_stops_where_rounding_ends_the_newton_steps(mu) -> None:
     ("values", "mu"),
     [
         # S'(x) = S(x) * log p is about 1e-320 here, a subnormal with a few
-        # significant bits, so a step lands past the root. The steps back
-        # must shrink onto it: stopping at the first of them left a relative
-        # residual of 3.5e-7.
+        # significant bits; a step on it landed past the root, and stopping
+        # at the first step back left a relative residual of 3.5e-7.
         (1.0 - np.random.default_rng(0).random(30) * 1e-13, 5e-308),
         # The last Newton point is one float off the best one: 9.5e-14.
         (np.random.default_rng(0).random(3), 1e-300),
@@ -421,6 +421,33 @@ def test_bisect_ends_on_the_best_float_when_the_tolerance_cannot_be_met(values, 
     assert abs(achieved - mu) <= 1e-12 * mu
     for side in (-math.inf, math.inf):
         assert abs(achieved - mu) <= abs(mean_power(p, math.nextafter(x, side)) - mu)
+
+
+@pytest.mark.parametrize(
+    ("values", "mu"),
+    [
+        # S'(x) underflows to -0.0 at the second step, where S is still
+        # above mu: the step went to b and stopped 1.5e-9 off.
+        pytest.param(
+            [0.999999999999979, 0.9999999999999999, 0.9999999999999841,
+             0.9999999999999818, 0.9999999999999994],
+            1.029902527693698e-308,
+            id="slope_underflows_to_zero",
+        ),
+        # S'(x) is -2.5e-323, a subnormal of 3 bits, at the third step: the
+        # step on it landed past the root, and the fit stopped 16% off.
+        pytest.param(
+            1.0 - 10.0 ** np.random.default_rng(249).uniform(-16, -8, 10),
+            1.3e-308,
+            id="subnormal_slope",
+        ),
+    ],
+)
+def test_solution_reads_a_slope_below_the_normal_range_at_the_scale_of_s(values, mu) -> None:
+    out = find_solution(values, mu, FitOptions(residual_tol=5e-324))
+    assert out.status is FitStatus.EXACT
+    assert abs(out.achieved_mean - mu) <= 1e-12 * mu
+    assert out.iterations <= 5
 
 
 def test_bisect_iteration_cap(monkeypatch) -> None:
@@ -652,11 +679,9 @@ def test_mean_power_approaches_asymptote() -> None:
 def test_fit_options_validation() -> None:
     with pytest.raises(ValueError):
         FitOptions(residual_tol=0.0)
-    with pytest.raises(ValueError):
-        FitOptions(large_exponent=0.0)
 
 
-@pytest.mark.parametrize("name", ["residual_tol", "large_exponent"])
+@pytest.mark.parametrize("name", ["residual_tol"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_fit_options_reject_non_finite(name, value) -> None:
     with pytest.raises(ValueError, match=name):

@@ -275,6 +275,8 @@ def test_csv_layout_validation() -> None:
         ("preamble_lines", -1, ">= 0"),
         ("preamble_lines", 1.5, "must be an int"),
         ("preamble_lines", "3", "must be an int"),
+        ("preamble_lines", True, "must be an int"),
+        ("preamble_lines", False, "must be an int"),
         ("value_column", "", "non-empty"),
         ("delimiter", ",,", "single character"),
         ("delimiter", "", "single character"),

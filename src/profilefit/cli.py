@@ -13,6 +13,7 @@ import argparse
 import csv
 import glob
 import math
+import numbers
 import os
 import sys
 from collections import deque
@@ -76,9 +77,10 @@ class CliConfig:
 
     Every rule of a batch is checked here, or by ``layout`` and ``options``
     when they are built, so a config made in code obeys the same rules as
-    one parsed from argv. Raises ValueError, naming the field, for empty
-    ``inputs``, neither ``target`` nor ``manifest``, a ``target`` outside
-    (0, 1) or NaN, and a ``jobs`` that is a bool or not an int >= 1.
+    one parsed from argv. Raises ValueError, naming the field, for
+    ``inputs`` that are a str or empty, neither ``target`` nor ``manifest``,
+    a ``target`` that is a bool, is not a real number, or lies outside
+    (0, 1) or is NaN, and a ``jobs`` that is a bool or not an int >= 1.
     Manifest targets are checked when read, by :func:`resolve_targets`.
     """
 
@@ -93,12 +95,17 @@ class CliConfig:
     jobs: int = field(default_factory=_default_jobs)
 
     def __post_init__(self):
+        if isinstance(self.inputs, str):  # else each character is a pattern
+            raise ValueError(f"inputs must be a list of patterns, not the str {self.inputs!r}")
         if not self.inputs:
             raise ValueError("inputs must name at least one file or pattern")
         if self.target is None and self.manifest is None:
             raise ValueError("target or manifest is required")
-        if self.target is not None and not 0.0 < self.target < 1.0:  # also catches nan
-            raise ValueError(f"target must lie in (0, 1), got {self.target!r}")
+        if self.target is not None:
+            if isinstance(self.target, bool) or not isinstance(self.target, numbers.Real):
+                raise ValueError(f"target must be a real number, got {self.target!r}")
+            if not 0.0 < self.target < 1.0:  # also catches nan
+                raise ValueError(f"target must lie in (0, 1), got {self.target!r}")
         if isinstance(self.jobs, bool) or not isinstance(self.jobs, int) or self.jobs < 1:
             raise ValueError(f"jobs must be an integer >= 1, got {self.jobs!r}")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -265,17 +266,21 @@ def write_profile(
     Header is ``time,original,fitted`` when timestamps are given, otherwise
     ``original,fitted``. Floats are rendered with shortest round-trip
     precision, so reading the file back reproduces them exactly; each
-    distinct value of a column is formatted once, from the Profile's value
-    table. A timestamp is written as ``format(stamp)``. A delimiter that
-    :class:`CsvLayout` refuses raises ValueError before any file is opened.
+    distinct value of a Profile is formatted once, for this writer and
+    :func:`write_plot_data` both, and kept with its value table. A timestamp
+    is written as ``format(stamp)``. A delimiter that :class:`CsvLayout`
+    refuses raises ValueError before any file is opened.
     """
     _check_delimiter(delimiter)
     header = ["original", "fitted"]
-    columns = [_column_text(p, _distinct_text(p)) for p in (original, fitted)]
+    columns = [_column_text(original), _column_text(fitted)]
+    pieces = [original._text, fitted._text]
     if timestamps is not None:
         header.insert(0, "time")
-        columns.insert(0, list(map(format, timestamps)))
-    _write_csv(path, header, columns, delimiter)
+        stamps = list(map(format, timestamps))
+        columns.insert(0, stamps)
+        pieces.append(stamps)
+    _write_csv(path, header, columns, pieces, delimiter)
 
 
 def write_report(path, report: FitReport) -> None:
@@ -292,38 +297,40 @@ def write_plot_data(path_prefix, original: Profile, fitted: Profile) -> None:
     sorts each column independently in descending order. Both carry
     ``index,original,fitted`` with a 1-based index and are always
     comma-delimited, whatever delimiter the input and ``_fitted.csv`` use.
-    Both files are built from each Profile's value table: each distinct
-    value of a column is formatted once, the chronological column takes
-    that text through the table's inverse, and the sorted column repeats it
-    by the table's counts. ``-0.0`` ties with ``0.0``, and their rows keep
-    input order.
+    Both files are built from each Profile's value table and the text of
+    its distinct values, which :func:`write_profile` may already have made:
+    the chronological column takes that text through the table's inverse,
+    and the sorted column repeats it by the table's counts. ``-0.0`` ties
+    with ``0.0``, and their rows keep input order. The index text is made
+    once per length and kept for the last length written.
     """
     prefix = str(path_prefix)
     header = ["index", "original", "fitted"]
-    index = list(map(str, range(1, len(original) + 1)))
+    index = _index_text(len(original))
     profiles = (original, fitted)
-    texts = [_distinct_text(p) for p in profiles]
+    pieces = ["0123456789", original._text, fitted._text]  # the index is digits only
     for name, column_text in [("chronological", _column_text), ("sorted", _descending_text)]:
-        _write_csv(f"{prefix}_{name}.csv", header, [index, *map(column_text, profiles, texts)])
+        columns = [index, *map(column_text, profiles)]
+        _write_csv(f"{prefix}_{name}.csv", header, columns, pieces)
 
 
-def _distinct_text(profile: Profile) -> np.ndarray:
-    """``repr`` of each distinct value of ``profile``, as an object array in
-    the order of its value table, so ``-0.0`` and ``0.0`` keep their own text."""
-    return np.array(list(map(repr, profile._distinct[0].tolist())), dtype=object)
+@functools.lru_cache(maxsize=1)
+def _index_text(n: int) -> tuple[str, ...]:
+    """The plot CSVs' 1-based index column, ``"1"`` to ``str(n)``."""
+    return tuple(map(str, range(1, n + 1)))
 
 
-def _column_text(profile: Profile, text: np.ndarray) -> list[str]:
-    """``profile``'s values in input order, as :func:`_distinct_text`'s ``text``."""
-    return text[profile._distinct[1]].tolist()
+def _column_text(profile: Profile) -> list[str]:
+    """``profile``'s values in input order, as the text of its distinct values."""
+    return profile._text[profile._distinct[1]].tolist()
 
 
 _SIGN_BIT = np.uint64(1 << 63)
 
 
-def _descending_text(profile: Profile, text: np.ndarray) -> list[str]:
+def _descending_text(profile: Profile) -> list[str]:
     """``profile``'s values from the largest to the smallest, NaN last, as
-    :func:`_distinct_text`'s ``text``.
+    the text of its distinct values.
 
     The value table lists the bit patterns in ascending order: the values
     whose sign bit is clear ascend from ``0.0``, then those whose sign bit is
@@ -333,6 +340,7 @@ def _descending_text(profile: Profile, text: np.ndarray) -> list[str]:
     rows keep input order.
     """
     distinct, inverse, counts = profile._distinct
+    text = profile._text
     split = int(np.searchsorted(distinct.view(np.uint64), _SIGN_BIT))
     order = np.concatenate([np.arange(split)[::-1], np.arange(split, distinct.size)])
     nan = np.isnan(distinct[order])
@@ -364,14 +372,16 @@ def _replacing(path):
         raise
 
 
-def _write_csv(path, header: list[str], columns: list[list[str]], delimiter: str = ",") -> None:
+def _write_csv(path, header: list[str], columns, pieces, delimiter: str = ",") -> None:
     """Write a header and the rows zipped from the text ``columns``.
 
-    Raises :class:`LengthMismatchError`, before any file is opened, when the
-    columns differ in length. The rows are joined into one text; if some
-    field holds the delimiter, a newline, a quote, ``\\r`` or NUL (text csv
-    may quote or reject), the whole file goes through :func:`_write_rows`
-    instead, so every byte is that of :func:`_write_rows`.
+    ``pieces`` is a list of text sequences in which every character of
+    every field occurs, such as the distinct texts a column is taken from.
+    Raises :class:`LengthMismatchError`, before any file is opened, when
+    the columns differ in length. If some piece holds the delimiter, a
+    newline, a quote, ``\\r`` or NUL (text csv may quote or reject), the
+    whole file goes through :func:`_write_rows`, so every byte is that of
+    :func:`_write_rows`; otherwise the rows are joined into one text.
     """
     lengths = [len(column) for column in columns]
     if len(set(lengths)) > 1:
@@ -379,18 +389,13 @@ def _write_csv(path, header: list[str], columns: list[list[str]], delimiter: str
             "columns differ in length: "
             + ", ".join(f"{name} has {n}" for name, n in zip(header, lengths))
         )
-    rows = lengths[0]
-    text = "\n".join(map(delimiter.join, zip(*columns))) + "\n"
     with _replacing(path) as fh:
         _write_rows(fh, [header], delimiter)
-        if (
-            _needs_csv(text)
-            or text.count(delimiter) != rows * (len(columns) - 1)
-            or text.count("\n") != rows
-        ):
+        joined = ["".join(texts) for texts in pieces]
+        if any(delimiter in text or "\n" in text or _needs_csv(text) for text in joined):
             _write_rows(fh, zip(*columns), delimiter)
         else:
-            fh.write(text)
+            fh.write("\n".join(map(delimiter.join, zip(*columns))) + "\n")
 
 
 def _write_rows(fh, rows, delimiter: str) -> None:

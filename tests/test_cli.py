@@ -301,11 +301,18 @@ BAD_CONFIGS = [
     ({"inputs": ["a.csv"], "target": math.nan, "manifest": "m.csv"}, "target must lie in"),
     ({"inputs": ["a.csv"], "target": 1.5}, "target must lie in"),
     ({"inputs": ["a.csv"], "target": 0.0}, "target must lie in"),
+    # A str would run as one pattern per character: "s", ".", "c", "v".
+    ({"inputs": "s.csv", "target": 0.4}, "inputs must be a list"),
+    # Raised TypeError from the range comparison.
+    ({"inputs": ["a.csv"], "target": "0.4"}, "target must be a real number"),
+    ({"inputs": ["a.csv"], "target": True}, "target must be a real number"),
 ]
 
 
 @pytest.mark.parametrize(
-    "fields, message", BAD_CONFIGS, ids=["no_inputs", "no_target", "nan", "above_1", "zero"]
+    "fields, message",
+    BAD_CONFIGS,
+    ids=["no_inputs", "no_target", "nan", "above_1", "zero", "str_inputs", "str_target", "bool"],
 )
 def test_cli_config_refuses_a_bad_batch(fields, message) -> None:
     with pytest.raises(ValueError, match=message):

@@ -144,7 +144,20 @@ def test_profile_fields_are_just_values() -> None:
         p.values = np.zeros(3)
     assert not p._positive.flags.writeable
     assert not p._log_positive.flags.writeable
+    assert p._inner_logs == (1, math.log(0.5), math.log(0.5))
     assert not any(array.flags.writeable for array in p._distinct)
+
+
+def test_a_table_from_a_source_that_does_not_partition_the_values() -> None:
+    # Two equal source values map to different values: the table comes from
+    # np.unique instead, and is still right.
+    source = validate_profile([0.5, 0.5, 0.25])
+    p = validate_profile([0.1, 0.2, 0.1])
+    object.__setattr__(p, "_source", source)
+    assert fitcore._image_table(source, p.values) is None
+    distinct, inverse, counts = p._distinct
+    assert distinct.tolist() == [0.1, 0.2]
+    assert inverse.tolist() == [0, 1, 0] and counts.tolist() == [2, 1]
 
 
 def test_validate_neither_aliases_nor_freezes_the_callers_array() -> None:

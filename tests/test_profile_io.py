@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from profilefit import profile_io
+from profilefit import fitcore, profile_io
 from profilefit.fitcore import (
     NonFiniteValueError,
     Profile,
@@ -320,7 +320,9 @@ def _awkward_profiles(n):
     return original, apply_exponent(original, 1.7)
 
 
-@pytest.mark.parametrize("delimiter", [",", ";", "e", "."])
+# Reprs such as -0.0 and 1e-05 hold "-", "0" and "1", so those send a file
+# through csv for a value's text alone.
+@pytest.mark.parametrize("delimiter", [",", ";", "e", ".", "-", "0", "1"])
 @pytest.mark.parametrize("odd_stamp", [None, "1,2", 'say "hi"', "a\nb", "a\rb"])
 def test_write_profile_matches_csv_writer(tmp_path, delimiter, odd_stamp) -> None:
     # An odd stamp sends the whole file through csv, so every row, before
@@ -468,6 +470,22 @@ def test_plot_data_after_write_profile_matches_each_writer_alone(tmp_path) -> No
     write_profile(alone / "x_fitted.csv", None, *_fresh_copies(original, fitted))
     write_plot_data(alone / "x", *_fresh_copies(original, fitted))
     assert shared == _read_dir(alone)
+
+
+def test_each_profiles_text_is_built_once(tmp_path, monkeypatch) -> None:
+    # write_profile and then write_plot_data, as the CLI calls them: each
+    # distinct value of each Profile is formatted once over both.
+    calls = []
+
+    def counting_repr(value):
+        calls.append(value)
+        return repr(value)
+
+    for module in (fitcore, profile_io):
+        monkeypatch.setattr(module, "repr", counting_repr, raising=False)
+    original, fitted = _awkward_profiles(1300)
+    _write_outputs(tmp_path / "out", None, original, fitted)
+    assert len(calls) == len(original._distinct[0]) + len(fitted._distinct[0])
 
 
 def test_written_profiles_are_not_kept_alive(tmp_path) -> None:

@@ -13,6 +13,7 @@ from profilefit.fitcore import (
     Profile,
     ProfileFitError,
     ProfileStats,
+    _image_table,
     apply_exponent,
     classify_feasibility,
     find_search_interval,
@@ -21,7 +22,7 @@ from profilefit.fitcore import (
     profile_stats,
     validate_profile,
 )
-from profilefit.profile_io import _column_text, _distinct_text
+from profilefit.profile_io import _column_text
 
 # Any float in [0, 1], with endpoints over-weighted to exercise r and n.
 any_values = st.lists(
@@ -317,4 +318,30 @@ distinct_values = st.tuples(st.integers(1, 9000), st.integers(0, 2**32 - 1)).map
 def test_column_text_is_repr_of_each_value(values) -> None:
     v = np.array(values)
     p = Profile(v)
-    assert _column_text(p, _distinct_text(p)) == list(map(repr, v.tolist()))
+    assert _column_text(p) == list(map(repr, v.tolist()))
+
+
+def _assert_same_table(got, want) -> None:
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        np.testing.assert_array_equal(g, w)
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(st.lists(pooled_values, min_size=1, max_size=300), distinct_values),
+    st.sampled_from([[], [-0.0, 0.0], [0.0, -0.0]]),
+    st.sampled_from([0.0, 0.3, 1.0, 7.0, 1000.0, math.inf]),
+)
+def test_fitted_table_comes_from_the_originals(values, zeros, x) -> None:
+    v = np.array(values + zeros)
+    p = Profile(v)
+    fitted = apply_exponent(p, x)
+    want_values = np.where(v > 0.0, v**x, 0.0)
+    np.testing.assert_array_equal(fitted.values.view(np.uint64), want_values.view(np.uint64))
+    want = np.unique(fitted.values.view(np.uint64), return_inverse=True, return_counts=True)
+    derived = _image_table(p, fitted.values)
+    assert derived is not None  # the original's partition was used
+    _assert_same_table(derived, want)
+    keys, inverse, counts = fitted._distinct
+    _assert_same_table((keys.view(np.uint64), inverse, counts), want)

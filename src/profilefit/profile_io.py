@@ -61,8 +61,8 @@ class LengthMismatchError(ProfileFitError):
 
 
 # Fast-path read block size: big enough that per-block overhead vanishes.
-# Splitting a whole annual file at once keeps every row's list alive
-# together, and was slower: traced read_profile went from 5.0-5.5 to
+# Splitting a whole annual file at once keeps every field of the file
+# alive together, and was slower: traced read_profile went from 5.0-5.5 to
 # 8.2-8.6 ms per file (2-vCPU host).
 _READ_BLOCK_CHARS = 16384
 
@@ -183,14 +183,20 @@ def _parse_blocks(fh, layout: CsvLayout, path: Path):
 
     Reads the header and data in blocks of about ``_READ_BLOCK_CHARS``,
     each completed to the next newline, and keeps no line numbers (the third
-    item of the result is None). Gives up (returns None) on anything
+    item of the result is None). A block is split into one flat list of
+    fields, and its value and time columns are the strided slices of that
+    list, so no list is built per row. Gives up (returns None) on anything
     that needs csv semantics or that :func:`_parse_rows` would report: a
-    quote, ``\\r`` or NUL, a line longer than csv's field size limit, a short
-    row, or a cell ``float`` rejects. The caller then rereads the data
-    with :func:`_parse_rows`, so parse errors and their line numbers come
-    from one place.
+    delimiter that is not ASCII, a quote, ``\\r`` or NUL, a line longer than
+    csv's field size limit, a block whose lines differ in width from its
+    first line, which covers blank lines and short rows, a first line too
+    short for the columns, or a cell ``float`` rejects. The caller then
+    rereads the data with :func:`_parse_rows`, so parse errors and their
+    line numbers come from one place.
     """
     sep = layout.delimiter
+    if not sep.isascii():
+        return None
     try:
         limit = csv.field_size_limit()
         header = fh.readline()
@@ -203,18 +209,39 @@ def _parse_blocks(fh, layout: CsvLayout, path: Path):
         while block := fh.read(_READ_BLOCK_CHARS):
             if not block.endswith("\n"):
                 block += fh.readline()
-            if len(block) > limit or _needs_csv(block):
+                if not block.endswith("\n"):  # the last line has no newline
+                    block += "\n"
+            width = block.count(sep, 0, block.index("\n")) + 1
+            if (
+                width <= needed
+                or len(block) > limit
+                or _needs_csv(block)
+                or not _all_lines_have_width(block, sep, width)
+            ):
                 return None
-            # csv yields an empty row for a blank line, and read_profile skips it.
-            rows = [line.split(sep) for line in block.split("\n") if line]
-            if any(len(row) <= needed for row in rows):
-                return None
-            values.extend(map(float, [row[value_idx] for row in rows]))
+            fields = block.replace("\n", sep).split(sep)
+            fields.pop()  # the empty text after the last newline
+            values.extend(map(float, fields[value_idx::width]))
             if timestamps is not None:
-                timestamps.extend([row[time_idx] for row in rows])
+                timestamps.extend(fields[time_idx::width])
     except ValueError:  # an unparseable cell, or undecodable bytes
         return None
     return values, timestamps, None
+
+
+def _all_lines_have_width(block: str, sep: str, width: int) -> bool:
+    """Whether every line of ``block``, which ends with a newline, holds
+    ``width`` fields split by the ASCII ``sep``.
+
+    Holds when the block has ``width`` field ends (a ``sep`` or a newline)
+    per newline and every ``width``-th of them is a newline. A blank line
+    fails unless ``width`` is 1, where its empty cell fails ``float``.
+    """
+    codes = np.frombuffer(block.encode(), dtype=np.uint8)
+    ends = np.flatnonzero((codes == ord(sep)) | (codes == ord("\n")))
+    return ends.size == width * block.count("\n") and bool(
+        (codes[ends[width - 1 :: width]] == ord("\n")).all()
+    )
 
 
 def _needs_csv(text: str) -> bool:
@@ -273,21 +300,21 @@ def write_profile(
     """
     _check_delimiter(delimiter)
     header = ["original", "fitted"]
-    columns = [_column_text(original), _column_text(fitted)]
     pieces = [original._text, fitted._text]
+    stamps = None
     if timestamps is not None:
         header.insert(0, "time")
         stamps = list(map(format, timestamps))
-        columns.insert(0, stamps)
         pieces.append(stamps)
-    _write_csv(path, header, columns, pieces, delimiter)
+    columns = [(p._text, _input_order(p)) for p in (original, fitted)]
+    _write_csv(path, header, stamps, columns, pieces, delimiter)
 
 
 def write_report(path, report: FitReport) -> None:
     """Serialize one fit report as a single JSON object."""
+    text = json.dumps(asdict(report), indent=2) + "\n"
     with _replacing(path) as fh:
-        json.dump(asdict(report), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def write_plot_data(path_prefix, original: Profile, fitted: Profile) -> None:
@@ -307,11 +334,10 @@ def write_plot_data(path_prefix, original: Profile, fitted: Profile) -> None:
     prefix = str(path_prefix)
     header = ["index", "original", "fitted"]
     index = _index_text(len(original))
-    profiles = (original, fitted)
     pieces = ["0123456789", original._text, fitted._text]  # the index is digits only
-    for name, column_text in [("chronological", _column_text), ("sorted", _descending_text)]:
-        columns = [index, *map(column_text, profiles)]
-        _write_csv(f"{prefix}_{name}.csv", header, columns, pieces)
+    for name, take in [("chronological", _input_order), ("sorted", _descending_order)]:
+        columns = [(p._text, take(p)) for p in (original, fitted)]
+        _write_csv(f"{prefix}_{name}.csv", header, index, columns, pieces)
 
 
 @functools.lru_cache(maxsize=1)
@@ -320,37 +346,36 @@ def _index_text(n: int) -> tuple[str, ...]:
     return tuple(map(str, range(1, n + 1)))
 
 
-def _column_text(profile: Profile) -> list[str]:
-    """``profile``'s values in input order, as the text of its distinct values."""
-    return profile._text[profile._distinct[1]].tolist()
+def _input_order(profile: Profile) -> np.ndarray:
+    """The entry of each of ``profile``'s values in its value table, in input order."""
+    return profile._distinct[1]
 
 
 _SIGN_BIT = np.uint64(1 << 63)
 
 
-def _descending_text(profile: Profile) -> list[str]:
-    """``profile``'s values from the largest to the smallest, NaN last, as
-    the text of its distinct values.
+def _descending_order(profile: Profile) -> np.ndarray:
+    """The entries of ``profile``'s value table that list its values from
+    the largest to the smallest, NaN last.
 
     The value table lists the bit patterns in ascending order: the values
     whose sign bit is clear ascend from ``0.0``, then those whose sign bit is
     set descend from ``-0.0``, each sign's NaNs after its infinity. So the
-    distinct values are put in order without a sort, and each one's text is
+    distinct values are put in order without a sort, and each one's entry is
     repeated by its count. ``-0.0`` ties with ``0.0``: when both occur, their
     rows keep input order.
     """
     distinct, inverse, counts = profile._distinct
-    text = profile._text
     split = int(np.searchsorted(distinct.view(np.uint64), _SIGN_BIT))
     order = np.concatenate([np.arange(split)[::-1], np.arange(split, distinct.size)])
     nan = np.isnan(distinct[order])
     order = np.concatenate([order[~nan], order[nan]])
-    column = np.repeat(text[order], counts[order])
+    take = np.repeat(order, counts[order])
     if 0 < split < distinct.size and distinct[0] == distinct[split] == 0.0:
         zeros = inverse[(inverse == 0) | (inverse == split)]
         start = int(counts[distinct > 0.0].sum())
-        column[start : start + zeros.size] = text[zeros]
-    return column.tolist()
+        take[start : start + zeros.size] = zeros
+    return take
 
 
 @contextlib.contextmanager
@@ -372,30 +397,73 @@ def _replacing(path):
         raise
 
 
-def _write_csv(path, header: list[str], columns, pieces, delimiter: str = ",") -> None:
-    """Write a header and the rows zipped from the text ``columns``.
+def _write_csv(path, header: list[str], head, columns, pieces, delimiter: str = ",") -> None:
+    """Write a header, then per row ``head``'s text (unless ``head`` is None)
+    and the text of the two ``columns``.
 
-    ``pieces`` is a list of text sequences in which every character of
-    every field occurs, such as the distinct texts a column is taken from.
-    Raises :class:`LengthMismatchError`, before any file is opened, when
-    the columns differ in length. If some piece holds the delimiter, a
-    newline, a quote, ``\\r`` or NUL (text csv may quote or reject), the
-    whole file goes through :func:`_write_rows`, so every byte is that of
-    :func:`_write_rows`; otherwise the rows are joined into one text.
+    ``head`` is a sequence of row texts. Each column is a pair ``(texts,
+    take)``: its text in row i is ``texts[take[i]]``. ``pieces`` is a list
+    of text sequences in which every character of every field occurs, such
+    as the distinct texts a column is taken from. Raises
+    :class:`LengthMismatchError`, before any file is opened, when the
+    columns differ in length. If the header or some piece holds the
+    delimiter, a newline, a quote, ``\\r`` or NUL (text csv may quote or
+    reject), the text columns are built and the whole file goes through
+    :func:`_write_rows`, so every byte is that of :func:`_write_rows`;
+    otherwise the header and the rows are joined as they are, the rows by
+    :func:`_join_rows`.
     """
-    lengths = [len(column) for column in columns]
+    heads = [] if head is None else [head]
+    lengths = [*map(len, heads), *(take.size for _, take in columns)]
     if len(set(lengths)) > 1:
         raise LengthMismatchError(
             "columns differ in length: "
             + ", ".join(f"{name} has {n}" for name, n in zip(header, lengths))
         )
-    with _replacing(path) as fh:
-        _write_rows(fh, [header], delimiter)
-        joined = ["".join(texts) for texts in pieces]
-        if any(delimiter in text or "\n" in text or _needs_csv(text) for text in joined):
-            _write_rows(fh, zip(*columns), delimiter)
-        else:
-            fh.write("\n".join(map(delimiter.join, zip(*columns))) + "\n")
+    joined = ["".join(texts) for texts in [header, *pieces]]
+    if any(delimiter in text or "\n" in text or _needs_csv(text) for text in joined):
+        columns = [texts[take].tolist() for texts, take in columns]
+        with _replacing(path) as fh:
+            _write_rows(fh, [header], delimiter)
+            _write_rows(fh, zip(*heads, *columns), delimiter)
+    else:
+        body = _join_rows(head, columns, delimiter)
+        with _replacing(path) as fh:
+            fh.write(delimiter.join(header) + "\n")
+            fh.write(body)
+
+
+def _join_rows(head, columns, delimiter: str) -> str:
+    """The rows of :func:`_write_csv`, none of whose pieces needs csv, in
+    one ``"".join``.
+
+    Each row is ``head``'s text, if any, then a row tail
+    ``<delimiter>first<delimiter>second\\n`` (no leading delimiter without a
+    head), and the flat list interleaves the two. A tail is built once per
+    distinct first text when the second column's entry is a function of the
+    first's, as when ``fitted`` came from ``original`` by
+    :func:`~profilefit.fitcore.apply_exponent`; otherwise once per distinct
+    pair of entries, found by one ``np.unique``.
+    """
+    (first, a), (second, b) = columns
+    image = np.zeros(first.size, dtype=b.dtype)
+    image[a] = b
+    if (image[a] == b).all():
+        take = a
+    else:
+        pairs, take = np.unique(a * second.size + b, return_inverse=True)
+        first, image = first[pairs // second.size], pairs % second.size
+    lead = "" if head is None else delimiter
+    tails = np.array(
+        [f"{lead}{x}{delimiter}{y}\n" for x, y in zip(first.tolist(), second[image].tolist())],
+        dtype=object,
+    )[take].tolist()
+    if head is None:
+        return "".join(tails)
+    rows = [None] * (2 * len(tails))
+    rows[::2] = head
+    rows[1::2] = tails
+    return "".join(rows)
 
 
 def _write_rows(fh, rows, delimiter: str) -> None:

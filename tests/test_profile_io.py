@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import datetime
 import gc
 import io
 import json
@@ -188,6 +189,9 @@ def test_write_report_serializes_all_fields(tmp_path) -> None:
         "iterations": 41,
     }
     assert isinstance(loaded["exponent"], float)
+    buf = io.StringIO()
+    json.dump(dataclasses.asdict(report), buf, indent=2)
+    assert path.read_text() == buf.getvalue() + "\n"
 
 
 def test_write_report_clamped_low_has_zero_exponent(tmp_path) -> None:
@@ -320,14 +324,40 @@ def _awkward_profiles(n):
     return original, apply_exponent(original, 1.7)
 
 
+def _independent_profiles(n):
+    """An original at 2 decimals, so values repeat, and a fitted Profile drawn
+    apart from it: equal original values sit beside different fitted ones."""
+    rng = np.random.default_rng(n + 1)
+    values = np.round(rng.uniform(0.0, 1.0, size=n), 2)
+    values[: len(AWKWARD)] = AWKWARD
+    fitted = rng.uniform(0.0, 1.0, size=n)
+    fitted[-len(AWKWARD) :] = AWKWARD
+    pairs = set(zip(values.tolist(), fitted.tolist()))
+    assert len(pairs) > len(set(values.tolist()))  # fitted is no function of original
+    return validate_profile(values), validate_profile(fitted)
+
+
 # Reprs such as -0.0 and 1e-05 hold "-", "0" and "1", so those send a file
 # through csv for a value's text alone.
 @pytest.mark.parametrize("delimiter", [",", ";", "e", ".", "-", "0", "1"])
 @pytest.mark.parametrize("odd_stamp", [None, "1,2", 'say "hi"', "a\nb", "a\rb"])
 def test_write_profile_matches_csv_writer(tmp_path, delimiter, odd_stamp) -> None:
+    original, fitted = _awkward_profiles(1300)
+    _assert_fitted_file_matches_csv_writer(tmp_path, original, fitted, delimiter, odd_stamp)
+
+
+@pytest.mark.parametrize("delimiter", [",", ";", "e", ".", "-", "0", "1"])
+@pytest.mark.parametrize("odd_stamp", [None, "1,2", 'say "hi"', "a\nb", "a\rb"])
+def test_write_profile_matches_csv_writer_for_any_fitted(tmp_path, delimiter, odd_stamp) -> None:
+    # Each row's original and fitted text pair up per distinct pair here,
+    # not per distinct original value.
+    original, fitted = _independent_profiles(1300)
+    _assert_fitted_file_matches_csv_writer(tmp_path, original, fitted, delimiter, odd_stamp)
+
+
+def _assert_fitted_file_matches_csv_writer(tmp_path, original, fitted, delimiter, odd_stamp):
     # An odd stamp sends the whole file through csv, so every row, before
     # and after it, must come out as csv.writer writes it.
-    original, fitted = _awkward_profiles(1300)
     stamps = [f"2019-01-01 {i % 24:02d}:00" for i in range(1300)]
     if odd_stamp is not None:
         stamps[700] = odd_stamp
@@ -369,7 +399,14 @@ def test_timestamps_are_formatted_on_both_write_paths(tmp_path) -> None:
 
 
 def test_write_plot_data_matches_csv_writer(tmp_path) -> None:
-    original, fitted = _awkward_profiles(1300)
+    _assert_plot_files_match_csv_writer(tmp_path, *_awkward_profiles(1300))
+
+
+def test_write_plot_data_matches_csv_writer_for_any_fitted(tmp_path) -> None:
+    _assert_plot_files_match_csv_writer(tmp_path, *_independent_profiles(1300))
+
+
+def _assert_plot_files_match_csv_writer(tmp_path, original, fitted) -> None:
     write_plot_data(tmp_path / "plot", original, fitted)
     for name, a, b in [
         ("chronological", original.values, fitted.values),
@@ -565,6 +602,40 @@ def test_read_profile_skips_a_byte_order_mark(tmp_path, monkeypatch, text, fast)
     assert timestamps == ["t0", "t1"]
 
 
+def _ninja_text(delimiter, rows=8760):
+    """A renewables.ninja-style export: three metadata lines, the header
+    ``time,local_time,electricity``, one row per hour at 3 decimals."""
+    rng = np.random.default_rng(rows)
+    values = np.round(rng.uniform(0.0, 1.0, size=rows), 3)
+    start = datetime.datetime(2019, 1, 1)
+    hours = [start + datetime.timedelta(hours=h) for h in range(rows)]
+    stamps = [h.strftime("%Y-%m-%d %H:%M") for h in hours]
+    local = [(h + datetime.timedelta(hours=5)).strftime("%Y-%m-%d %H:%M") for h in hours]
+    lines = ["# wind profile", "# Units: time in UTC, electricity in per unit", "# 3 decimals"]
+    lines.append(delimiter.join(["time", "local_time", "electricity"]))
+    lines += [delimiter.join([t, lt, f"{v:.3f}"]) for t, lt, v in zip(stamps, local, values)]
+    return "\n".join(lines), values, stamps
+
+
+@pytest.mark.parametrize(
+    "delimiter, end",
+    [(",", "\n"), (";", "\n"), ("\t", "\n"), (",", "")],
+    ids=["comma", "semicolon", "tab", "no-final-newline"],
+)
+def test_read_profile_keeps_ninja_files_on_the_fast_path(
+    tmp_path, monkeypatch, delimiter, end
+) -> None:
+    # Past the first read block, with any ASCII delimiter, and with or
+    # without a newline after the last row.
+    text, values, stamps = _ninja_text(delimiter)
+    path = tmp_path / "ninja.csv"
+    path.write_text(text + end, newline="")
+    monkeypatch.setattr(profile_io, "_parse_rows", None)  # the csv path must not run
+    profile, got_stamps = read_profile(path, CsvLayout(delimiter=delimiter))
+    np.testing.assert_array_equal(profile.values, values)
+    assert got_stamps == stamps
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_read_profile_from_a_pipe() -> None:
     # A pipe cannot seek, so the whole file goes through the row-by-row path.
@@ -615,8 +686,8 @@ def test_failed_writes_keep_the_previous_file(tmp_path) -> None:
     path = tmp_path / "out.csv"
     write_profile(path, stamps, original, fitted)
     before = path.read_bytes()
-    # The bad stamp fails while the stamps are formatted, before the file is
-    # opened; the report below fails midway through its write.
+    # The bad stamp fails while the stamps are formatted, and the report
+    # below while its text is built, each before its file is opened.
     stamps[700] = _Unprintable()
     with pytest.raises(RuntimeError):
         write_profile(path, stamps, fitted, original)
@@ -626,7 +697,7 @@ def test_failed_writes_keep_the_previous_file(tmp_path) -> None:
     report = FitReport("in.csv", 3, 0, 0, 0.5, 0.4, 1.2, 0.4, "exact", 5)
     write_report(report_path, report)
     before = report_path.read_bytes()
-    with pytest.raises(TypeError):  # json.dump fails on the last field
+    with pytest.raises(TypeError):  # json.dumps fails on the last field
         write_report(report_path, dataclasses.replace(report, iterations=object()))
     assert report_path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out_report.json"]

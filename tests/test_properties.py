@@ -22,7 +22,6 @@ from profilefit.fitcore import (
     profile_stats,
     validate_profile,
 )
-from profilefit.profile_io import _column_text
 
 # Any float in [0, 1], with endpoints over-weighted to exercise r and n.
 any_values = st.lists(
@@ -293,6 +292,65 @@ def test_read_returns_what_write_wrote(rows, x, delimiter) -> None:
             assert back_stamps == stamps
 
 
+# Data cells: mostly values in range, some padded with spaces, some the
+# csv path must refuse or validation must reject.
+read_cells = st.sampled_from(
+    ["0.5", "0", "1", "0.125", "0.007", " 0.25", "0.75 ", " 1e-3 ", "1.5", "nan", "x", ""]
+)
+# A row as the file holds it: whole, with one extra field, short, or blank.
+read_rows = st.lists(
+    st.tuples(read_cells, st.sampled_from(["whole"] * 6 + ["extra", "short", "blank"])),
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    read_rows,
+    st.sampled_from([",", ";", "\t", "§"]),
+    st.sampled_from([("time", "electricity"), ("electricity", "time"), ("electricity",)]),
+    st.booleans(),
+    st.sampled_from([8, 64, 16384]),
+)
+def test_read_fast_path_agrees_with_the_csv_path(
+    rows, delimiter, header, final_newline, block_chars
+) -> None:
+    # Small read blocks put block edges between rows of different widths.
+    import tempfile
+    from pathlib import Path
+    from unittest import mock
+
+    from profilefit import profile_io
+    from profilefit.profile_io import CsvLayout, CsvParseError, read_profile
+
+    lines = ["meta", delimiter.join(header)]
+    for i, (cell, kind) in enumerate(rows):
+        fields = [cell if name == "electricity" else f"t {i}" for name in header]
+        if kind == "extra":
+            fields.append("more")
+        elif kind == "short":
+            fields = fields[:1] if len(fields) > 1 else []
+        lines.append("" if kind == "blank" else delimiter.join(fields))
+    text = "\n".join(lines) + ("\n" if final_newline else "")
+
+    def outcome(path):
+        try:
+            profile, stamps = read_profile(path, CsvLayout(preamble_lines=1, delimiter=delimiter))
+        except ProfileFitError as exc:
+            line = exc.line_number if isinstance(exc, CsvParseError) else getattr(exc, "line", None)
+            return type(exc), line
+        return profile.values.view(np.uint64).tolist(), stamps
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with mock.patch.object(profile_io, "_READ_BLOCK_CHARS", block_chars):
+            got = outcome(path)
+        with mock.patch.object(profile_io, "_parse_blocks", lambda fh, layout, path: None):
+            want = outcome(path)
+    assert got == want
+
+
 # Values a column may repeat: both signed zeros, the smallest subnormal, 1.0
 # and the float below it, and values at 3 decimals, as in a
 # renewables.ninja export.
@@ -318,7 +376,8 @@ distinct_values = st.tuples(st.integers(1, 9000), st.integers(0, 2**32 - 1)).map
 def test_column_text_is_repr_of_each_value(values) -> None:
     v = np.array(values)
     p = Profile(v)
-    assert _column_text(p) == list(map(repr, v.tolist()))
+    # The writers take each row's text through the value table's inverse.
+    assert p._text[p._distinct[1]].tolist() == list(map(repr, v.tolist()))
 
 
 def _assert_same_table(got, want) -> None:

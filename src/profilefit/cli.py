@@ -33,6 +33,7 @@ from .fitcore import (
 from .profile_io import (
     CsvLayout,
     FitReport,
+    FittedPair,
     read_profile,
     write_plot_data,
     write_profile,
@@ -178,15 +179,12 @@ def _fit_one(path: str, mu: float, config: CliConfig) -> _FileResult:
     try:
         profile, timestamps = read_profile(path, config.layout)
         outcome = find_solution(profile, mu, config.options)
-        fitted = apply_exponent(profile, outcome.exponent)
+        pair = FittedPair(profile, apply_exponent(profile, outcome.exponent))
         stats = outcome.stats
 
         stem = Path(path).stem
         out_dir = Path(config.out_dir)
-        write_profile(
-            out_dir / f"{stem}_fitted.csv", timestamps, profile, fitted,
-            delimiter=config.layout.delimiter,
-        )
+        write_profile(out_dir / f"{stem}_fitted.csv", timestamps, pair, config.layout.delimiter)
         report = FitReport(
             input_path=str(path),
             m=stats.m,
@@ -201,7 +199,7 @@ def _fit_one(path: str, mu: float, config: CliConfig) -> _FileResult:
         )
         write_report(out_dir / f"{stem}_report.json", report)
         if config.emit_plot_data:
-            write_plot_data(out_dir / stem, profile, fitted)
+            write_plot_data(out_dir / stem, pair)
         return _FileResult(path, report=report)
     except Exception as exc:  # one bad file never stops the batch
         return _FileResult(path, error=f"{type(exc).__name__}: {exc}")

@@ -123,23 +123,17 @@ class Profile:
     the range; code that builds a new float64 array of values known to be
     in range (e.g. :func:`apply_exponent`) may hand it over directly. The
     array is not copied, only made read-only, and its values must not
-    change once the Profile is built: the fit and the CSV writers reuse
-    arrays derived from them.
+    change once the Profile is built: the fit reuses arrays derived from
+    them.
 
     Refuses, in this order, anything but a float64 array (a list, float32
     or big-endian float64 too) with TypeError, one that is not 1-D with
     ValueError, and an empty one with :class:`EmptyProfileError`.
 
-    The derived data are built on first use and kept, read-only, for the
-    Profile's lifetime; they are not fields. The fit's, the positive values
-    and their logs, cost at most 16 bytes per positive value, about 140 KB
-    for an annual hourly profile, plus three numbers for the bracket. The
-    writers' value table costs 8 bytes per value plus 16 per distinct value:
-    about 86 KB for an annual profile of at most 1001 distinct values,
-    210 KB when all 8760 are distinct. The ``repr`` text of the distinct
-    values costs about 62 bytes per value written at 3 decimals, 62 KB for
-    1001 of them, and about 75 bytes per full-precision value, 660 KB when
-    all 8760 are distinct.
+    The fit's derived data, the positive values and their logs, are built
+    on first use and kept, read-only, for the Profile's lifetime; they are
+    not fields. They cost at most 16 bytes per positive value, about 140 KB
+    for an annual hourly profile, plus three numbers for the bracket.
     """
 
     values: np.ndarray
@@ -180,54 +174,6 @@ class Profile:
         if inner.size == 0:
             return (0, math.nan, math.nan)
         return (inner.size, float(inner.mean()), float(inner.max()))
-
-    @functools.cached_property
-    def _distinct(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The value table of the CSV writers: ``(distinct, inverse, counts)``.
-
-        ``distinct`` holds each distinct bit pattern of the values once, as
-        float64, in the order of the patterns as uint64, so ``-0.0`` stays
-        apart from ``0.0``; ``values == distinct[inverse]`` bit for bit, and
-        ``counts`` says how often each occurs. The fit never builds it. A
-        Profile made by :func:`apply_exponent` derives it from its source's
-        table, which is built too if need be (see :func:`_image_table`).
-        """
-        source = self.__dict__.get("_source")
-        table = None if source is None else _image_table(source, self.values)
-        if table is None:
-            table = np.unique(self.values.view(np.uint64), return_inverse=True, return_counts=True)
-        keys, inverse, counts = table
-        table = (keys.view(np.float64), inverse, counts)
-        for array in table:
-            array.setflags(write=False)
-        return table
-
-    @functools.cached_property
-    def _text(self) -> np.ndarray:
-        """``repr`` of each value of :attr:`_distinct`, as an object array in its order."""
-        return np.array(list(map(repr, self._distinct[0].tolist())), dtype=object)
-
-
-def _image_table(source: Profile, values: np.ndarray):
-    """``np.unique``'s ``(keys, inverse, counts)`` of the uint64 view of
-    ``values``, taken from ``source``'s value table; None unless each value
-    of ``source`` maps to one bit pattern of ``values``, as under
-    :func:`apply_exponent`.
-
-    Each value of the source's table gets its image, scattered from
-    ``values`` through the table's inverse, and the check is bit for bit.
-    The keys are then the distinct images, found by ``np.unique`` over at
-    most as many images as the source has distinct values; the inverse is
-    composed with the source's, and the source's counts are summed per key.
-    """
-    _, inverse, counts = source._distinct
-    image = np.empty(counts.size, dtype=np.uint64)
-    image[inverse] = values.view(np.uint64)
-    if not np.array_equal(image[inverse], values.view(np.uint64)):
-        return None
-    keys, image_inverse = np.unique(image, return_inverse=True)
-    summed = np.bincount(image_inverse, weights=counts, minlength=keys.size)
-    return keys, image_inverse[inverse], summed.astype(counts.dtype)
 
 
 @dataclass(frozen=True)
@@ -519,8 +465,6 @@ def apply_exponent(p, x: float) -> Profile:
     mean of the result is S(x). Order and length are preserved and the
     result is again a valid profile: values stay within [0, 1] for any
     x >= 0, ``inf`` included. A negative or NaN exponent raises ValueError.
-    The result keeps a reference to ``p``, so that its value table, if the
-    CSV writers ask for it, comes from ``p``'s.
     """
     if not isinstance(p, Profile):
         p = validate_profile(p)
@@ -529,6 +473,4 @@ def apply_exponent(p, x: float) -> Profile:
     v = p.values
     out = np.zeros_like(v)
     out[v > 0.0] = p._positive ** x
-    fitted = Profile(out)
-    object.__setattr__(fitted, "_source", p)  # equal values of p stay equal here
-    return fitted
+    return Profile(out)

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -125,19 +127,19 @@ def test_profile_values_are_read_only() -> None:
     ],
 )
 def test_profile_holds_float64_only(values) -> None:
-    # The value table of the CSV writers keys each value on its 64 bits.
+    # The CSV writers' value tables key each value on its 64 bits.
     with pytest.raises(TypeError, match="float64"):
         Profile(values)
 
 
 def test_profile_fields_are_just_values() -> None:
-    # The positive values, their logs and the writers' value table are
-    # cached on first use, not fields: Profile stays frozen and compares by
-    # identity (its dtype check is test_profile_holds_float64_only's). The
-    # fit never builds the table.
+    # The positive values and their logs are cached on first use, not
+    # fields: Profile stays frozen and compares by identity (its dtype check
+    # is test_profile_holds_float64_only's). A fit caches nothing else.
     p = validate_profile([0.0, 0.5, 1.0])
     fitted = apply_exponent(p, find_solution(p, 0.4).exponent)
-    assert "_distinct" not in vars(p) and "_distinct" not in vars(fitted)
+    fit_caches = {"values", "_positive", "_log_positive", "_inner_logs"}
+    assert set(vars(p)) <= fit_caches and set(vars(fitted)) <= fit_caches
     assert [f.name for f in dataclasses.fields(Profile)] == ["values"]
     assert p == p and p != validate_profile([0.0, 0.5, 1.0])
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -145,19 +147,16 @@ def test_profile_fields_are_just_values() -> None:
     assert not p._positive.flags.writeable
     assert not p._log_positive.flags.writeable
     assert p._inner_logs == (1, math.log(0.5), math.log(0.5))
-    assert not any(array.flags.writeable for array in p._distinct)
 
 
-def test_a_table_from_a_source_that_does_not_partition_the_values() -> None:
-    # Two equal source values map to different values: the table comes from
-    # np.unique instead, and is still right.
-    source = validate_profile([0.5, 0.5, 0.25])
-    p = validate_profile([0.1, 0.2, 0.1])
-    object.__setattr__(p, "_source", source)
-    assert fitcore._image_table(source, p.values) is None
-    distinct, inverse, counts = p._distinct
-    assert distinct.tolist() == [0.1, 0.2]
-    assert inverse.tolist() == [0, 1, 0] and counts.tolist() == [2, 1]
+def test_a_fitted_profile_keeps_no_reference_to_its_source() -> None:
+    p = validate_profile([0.0, 0.5, 1.0])
+    fitted = apply_exponent(p, 2.0)
+    ref = weakref.ref(p)
+    del p
+    gc.collect()
+    assert ref() is None
+    assert fitted.values.tolist() == [0.0, 0.25, 1.0]
 
 
 def test_validate_neither_aliases_nor_freezes_the_callers_array() -> None:

@@ -16,12 +16,14 @@ from profilefit.fitcore import (
     Profile,
     ValueOutOfRangeError,
     apply_exponent,
+    find_solution,
     validate_profile,
 )
 from profilefit.profile_io import (
     CsvLayout,
     CsvParseError,
     FitReport,
+    FittedPair,
     LengthMismatchError,
     MissingColumnError,
     read_profile,
@@ -116,18 +118,13 @@ def test_read_profile_custom_delimiter(tmp_path) -> None:
 
 def test_write_profile_single_row(tmp_path) -> None:
     path = tmp_path / "out.csv"
-    write_profile(
-        path,
-        ["t0"],
-        validate_profile([0.5]),
-        validate_profile([0.25]),
-    )
+    write_profile(path, ["t0"], FittedPair(validate_profile([0.5]), validate_profile([0.25])))
     assert path.read_text() == "time,original,fitted\nt0,0.5,0.25\n"
 
 
 def test_write_profile_without_timestamps(tmp_path) -> None:
     path = tmp_path / "out.csv"
-    write_profile(path, None, validate_profile([0.5]), validate_profile([0.25]))
+    write_profile(path, None, FittedPair(validate_profile([0.5]), validate_profile([0.25])))
     assert path.read_text() == "original,fitted\n0.5,0.25\n"
 
 
@@ -136,15 +133,13 @@ def test_write_profile_length_mismatch(tmp_path) -> None:
         write_profile(
             tmp_path / "out.csv",
             None,
-            validate_profile([0.5, 0.6]),
-            validate_profile([0.25]),
+            FittedPair(validate_profile([0.5, 0.6]), validate_profile([0.25])),
         )
     with pytest.raises(LengthMismatchError, match="time has 1, original has 2, fitted has 2"):
         write_profile(
             tmp_path / "out.csv",
             ["t0"],
-            validate_profile([0.5, 0.6]),
-            validate_profile([0.25, 0.3]),
+            FittedPair(validate_profile([0.5, 0.6]), validate_profile([0.25, 0.3])),
         )
     assert list(tmp_path.iterdir()) == []  # no output, no .tmp
 
@@ -154,7 +149,7 @@ def test_fitted_column_round_trip(tmp_path) -> None:
     original = validate_profile(rng.uniform(0.0, 1.0, size=200))
     fitted = apply_exponent(original, 0.731)
     path = tmp_path / "round.csv"
-    write_profile(path, None, original, fitted)
+    write_profile(path, None, FittedPair(original, fitted))
     layout = CsvLayout(preamble_lines=0, value_column="fitted", time_column=None)
     back, _ = read_profile(path, layout)
     np.testing.assert_allclose(back.values, fitted.values, rtol=0, atol=1e-9)
@@ -217,8 +212,7 @@ def test_write_report_clamped_low_has_zero_exponent(tmp_path) -> None:
 def test_plot_data_sorted_descending(tmp_path) -> None:
     write_plot_data(
         tmp_path / "plot",
-        validate_profile([0.2, 0.8]),
-        validate_profile([0.4, 0.9]),
+        FittedPair(validate_profile([0.2, 0.8]), validate_profile([0.4, 0.9])),
     )
     sorted_rows = (tmp_path / "plot_sorted.csv").read_text().splitlines()
     assert sorted_rows == ["index,original,fitted", "1,0.8,0.9", "2,0.2,0.4"]
@@ -227,8 +221,7 @@ def test_plot_data_sorted_descending(tmp_path) -> None:
 def test_plot_data_chronological_preserves_order(tmp_path) -> None:
     write_plot_data(
         tmp_path / "plot",
-        validate_profile([0.2, 0.8, 0.5]),
-        validate_profile([0.4, 0.9, 0.6]),
+        FittedPair(validate_profile([0.2, 0.8, 0.5]), validate_profile([0.4, 0.9, 0.6])),
     )
     rows = (tmp_path / "plot_chronological.csv").read_text().splitlines()
     assert rows == [
@@ -243,7 +236,7 @@ def test_plot_data_row_counts_match_profile_length(tmp_path) -> None:
     rng = np.random.default_rng(3)
     original = validate_profile(rng.uniform(0, 1, size=50))
     fitted = apply_exponent(original, 2.0)
-    write_plot_data(tmp_path / "plot", original, fitted)
+    write_plot_data(tmp_path / "plot", FittedPair(original, fitted))
     for name in ("plot_chronological.csv", "plot_sorted.csv"):
         lines = (tmp_path / name).read_text().splitlines()
         assert len(lines) == 51  # header + one row per value
@@ -253,8 +246,7 @@ def test_plot_data_length_mismatch(tmp_path) -> None:
     with pytest.raises(LengthMismatchError):
         write_plot_data(
             tmp_path / "plot",
-            validate_profile([0.2, 0.8]),
-            validate_profile([0.4]),
+            FittedPair(validate_profile([0.2, 0.8]), validate_profile([0.4])),
         )
     assert list(tmp_path.iterdir()) == []  # no output, no .tmp
 
@@ -295,7 +287,7 @@ def test_write_profile_refuses_a_delimiter_csv_reserves(tmp_path, delimiter) -> 
     # With "\n" a file was written that read_profile could not read back.
     p = validate_profile([0.5, 0.25])
     with pytest.raises(ValueError, match="delimiter"):
-        write_profile(tmp_path / "out.csv", ["t0", "t1"], p, p, delimiter=delimiter)
+        write_profile(tmp_path / "out.csv", ["t0", "t1"], FittedPair(p, p), delimiter=delimiter)
     assert list(tmp_path.iterdir()) == []  # no output, no .tmp
 
 
@@ -367,12 +359,12 @@ def _assert_fitted_file_matches_csv_writer(tmp_path, original, fitted, delimiter
         # csv.writer leaves "\r" bare under a "\n" terminator; write_profile quotes it.
         want = want.replace(f"a\rb{delimiter}".encode(), f'"a\rb"{delimiter}'.encode())
     path = tmp_path / "out.csv"
-    write_profile(path, stamps, original, fitted, delimiter=delimiter)
+    write_profile(path, stamps, FittedPair(original, fitted), delimiter=delimiter)
     assert path.read_bytes() == want
 
     rows = zip(original.values.tolist(), fitted.values.tolist())
     want = _csv_reference(["original", "fitted"], rows, delimiter)
-    write_profile(path, None, original, fitted, delimiter=delimiter)
+    write_profile(path, None, FittedPair(original, fitted), delimiter=delimiter)
     assert path.read_bytes() == want
 
 
@@ -394,7 +386,7 @@ def test_timestamps_are_formatted_on_both_write_paths(tmp_path) -> None:
     rows = zip(map(format, stamps), original.values.tolist(), fitted.values.tolist())
     want = _csv_reference(["time", "original", "fitted"], rows)
     path = tmp_path / "out.csv"
-    write_profile(path, stamps, original, fitted)
+    write_profile(path, stamps, FittedPair(original, fitted))
     assert path.read_bytes() == want
 
 
@@ -407,7 +399,7 @@ def test_write_plot_data_matches_csv_writer_for_any_fitted(tmp_path) -> None:
 
 
 def _assert_plot_files_match_csv_writer(tmp_path, original, fitted) -> None:
-    write_plot_data(tmp_path / "plot", original, fitted)
+    write_plot_data(tmp_path / "plot", FittedPair(original, fitted))
     for name, a, b in [
         ("chronological", original.values, fitted.values),
         ("sorted", np.sort(original.values)[::-1], np.sort(fitted.values)[::-1]),
@@ -421,7 +413,7 @@ def _assert_sorted_file_is_stable_descending(tmp_path, original, fitted) -> None
     # Each column non-increasing, equal values (-0.0 against 0.0 too) in
     # input order: the bytes of np.sort(column)[::-1] but for -0.0 against
     # 0.0, whose order np.sort leaves undefined.
-    write_plot_data(tmp_path / "plot", original, fitted)
+    write_plot_data(tmp_path / "plot", FittedPair(original, fitted))
     rows = zip(
         range(1, len(original) + 1),
         sorted(original.values.tolist(), reverse=True),
@@ -477,41 +469,41 @@ def _read_dir(out_dir):
     return {p.name: p.read_bytes() for p in out_dir.iterdir()}
 
 
-def _write_outputs(out_dir, stamps, original, fitted):
-    """Run both writers in the CLI's order; return every file's bytes by name."""
+def _write_outputs(out_dir, stamps, pair):
+    """Run both writers on one pair in the CLI's order; return every file's bytes by name."""
     out_dir.mkdir()
-    write_profile(out_dir / "x_fitted.csv", stamps, original, fitted)
-    write_plot_data(out_dir / "x", original, fitted)
+    write_profile(out_dir / "x_fitted.csv", stamps, pair)
+    write_plot_data(out_dir / "x", pair)
     return _read_dir(out_dir)
 
 
-def _fresh_copies(*profiles):
-    return [validate_profile(p.values) for p in profiles]
+def _fresh_copy(pair):
+    return FittedPair(validate_profile(pair.original.values), validate_profile(pair.fitted.values))
 
 
 def test_writing_a_pair_twice_gives_the_bytes_of_fresh_copies(tmp_path) -> None:
-    original, fitted = _awkward_profiles(1300)
+    pair = FittedPair(*_awkward_profiles(1300))
     stamps = [f"t{i}" for i in range(1300)]
-    first = _write_outputs(tmp_path / "first", stamps, original, fitted)
-    again = _write_outputs(tmp_path / "again", stamps, original, fitted)
-    fresh = _write_outputs(tmp_path / "fresh", stamps, *_fresh_copies(original, fitted))
+    first = _write_outputs(tmp_path / "first", stamps, pair)
+    again = _write_outputs(tmp_path / "again", stamps, pair)
+    fresh = _write_outputs(tmp_path / "fresh", stamps, _fresh_copy(pair))
     assert len(first) == 3
     assert first == again == fresh
 
 
 def test_plot_data_after_write_profile_matches_each_writer_alone(tmp_path) -> None:
-    original, fitted = _awkward_profiles(1300)
-    shared = _write_outputs(tmp_path / "shared", None, original, fitted)
+    pair = FittedPair(*_awkward_profiles(1300))
+    shared = _write_outputs(tmp_path / "shared", None, pair)
     alone = tmp_path / "alone"
     alone.mkdir()
-    write_profile(alone / "x_fitted.csv", None, *_fresh_copies(original, fitted))
-    write_plot_data(alone / "x", *_fresh_copies(original, fitted))
+    write_profile(alone / "x_fitted.csv", None, _fresh_copy(pair))
+    write_plot_data(alone / "x", _fresh_copy(pair))
     assert shared == _read_dir(alone)
 
 
 def test_each_profiles_text_is_built_once(tmp_path, monkeypatch) -> None:
-    # write_profile and then write_plot_data, as the CLI calls them: each
-    # distinct value of each Profile is formatted once over both.
+    # write_profile and then write_plot_data on one pair, as the CLI calls
+    # them: each distinct value of each Profile is formatted once over both.
     calls = []
 
     def counting_repr(value):
@@ -520,19 +512,53 @@ def test_each_profiles_text_is_built_once(tmp_path, monkeypatch) -> None:
 
     for module in (fitcore, profile_io):
         monkeypatch.setattr(module, "repr", counting_repr, raising=False)
-    original, fitted = _awkward_profiles(1300)
-    _write_outputs(tmp_path / "out", None, original, fitted)
-    assert len(calls) == len(original._distinct[0]) + len(fitted._distinct[0])
+    pair = FittedPair(*_awkward_profiles(1300))
+    _write_outputs(tmp_path / "out", None, pair)
+    assert len(calls) == sum(len(table[0]) for table, _ in pair._tables)
+    assert len(calls) > 1300  # the fitted column is formatted too
+
+
+def test_writing_a_pair_leaves_its_profiles_with_the_fits_caches_only(tmp_path) -> None:
+    # The writers' tables and text live on the pair, not on a Profile.
+    original = validate_profile(np.round(np.random.default_rng(5).uniform(0, 1, 500), 3))
+    fitted = apply_exponent(original, find_solution(original, 0.3).exponent)
+    pair = FittedPair(original, fitted)
+    _write_outputs(tmp_path / "out", ["t"] * 500, pair)
+    fit_caches = {"values", "_positive", "_log_positive", "_inner_logs"}
+    assert set(vars(original)) <= fit_caches and set(vars(fitted)) <= fit_caches
+    assert [f.name for f in dataclasses.fields(FittedPair)] == ["original", "fitted"]
+    assert pair != FittedPair(original, fitted)  # compared by identity
+    arrays = [a for table, text in pair._tables for a in (*table, text)]
+    assert not any(a.flags.writeable for a in arrays)
 
 
 def test_written_profiles_are_not_kept_alive(tmp_path) -> None:
     # A long batch must not keep every file's column text.
     original, fitted = _awkward_profiles(1300)
-    _write_outputs(tmp_path / "out", None, original, fitted)
-    refs = [weakref.ref(original), weakref.ref(fitted)]
-    del original, fitted
+    pair = FittedPair(original, fitted)
+    _write_outputs(tmp_path / "out", None, pair)
+    refs = [weakref.ref(pair), weakref.ref(original), weakref.ref(fitted)]
+    del pair, original, fitted
     gc.collect()
-    assert [ref() for ref in refs] == [None, None]
+    assert [ref() for ref in refs] == [None, None, None]
+
+
+def _unique_table(values):
+    return np.unique(values.view(np.uint64), return_inverse=True, return_counts=True)
+
+
+def test_fitted_table_falls_back_to_unique() -> None:
+    # Two equal original values map to different values, or the lengths
+    # differ: the fitted table comes from np.unique instead, and is still right.
+    original = validate_profile([0.5, 0.5, 0.25])
+    for values in [[0.1, 0.2, 0.1], [0.1, 0.2], [0.1, 0.2, 0.1, 0.3]]:
+        fitted = validate_profile(values)
+        assert profile_io._image_table(_unique_table(original.values), fitted.values) is None
+        (distinct, inverse, counts), text = FittedPair(original, fitted)._tables[1]
+        want = _unique_table(fitted.values)
+        assert distinct.view(np.uint64).tolist() == want[0].tolist()
+        assert inverse.tolist() == want[1].tolist() and counts.tolist() == want[2].tolist()
+        assert text.tolist() == list(map(repr, distinct.tolist()))
 
 
 PLAIN = "m1\nm2\nm3\ntime,electricity\nt0,0.5\nt1,0.75\nt2,1\n"
@@ -636,6 +662,29 @@ def test_read_profile_keeps_ninja_files_on_the_fast_path(
     assert got_stamps == stamps
 
 
+@pytest.mark.parametrize(
+    "newline, blank_lines",
+    [("\n", True), ("\r\n", False), ("\r\n", True)],
+    ids=["blank-lines", "crlf", "crlf-blank-lines"],
+)
+def test_read_profile_keeps_blank_lines_and_crlf_on_the_fast_path(
+    tmp_path, monkeypatch, newline, blank_lines
+) -> None:
+    # csv skips empty rows and ends a row at "\r\n" as at "\n"; neither may
+    # send the file to the csv path, which took up to 3x as long.
+    text, values, stamps = _ninja_text(",")
+    lines = text.split("\n")
+    if blank_lines:
+        lines[4000:4000] = ["", ""]  # past the first read block
+        lines.append("")  # a trailing blank line
+    path = tmp_path / "ninja.csv"
+    path.write_text(newline.join(lines) + newline, newline="")
+    monkeypatch.setattr(profile_io, "_parse_rows", None)  # the csv path must not run
+    profile, got_stamps = read_profile(path)
+    np.testing.assert_array_equal(profile.values, values)
+    assert got_stamps == stamps
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_read_profile_from_a_pipe() -> None:
     # A pipe cannot seek, so the whole file goes through the row-by-row path.
@@ -684,13 +733,13 @@ def test_failed_writes_keep_the_previous_file(tmp_path) -> None:
     original, fitted = _awkward_profiles(1300)
     stamps = [f"t{i}" for i in range(1300)]
     path = tmp_path / "out.csv"
-    write_profile(path, stamps, original, fitted)
+    write_profile(path, stamps, FittedPair(original, fitted))
     before = path.read_bytes()
     # The bad stamp fails while the stamps are formatted, and the report
     # below while its text is built, each before its file is opened.
     stamps[700] = _Unprintable()
     with pytest.raises(RuntimeError):
-        write_profile(path, stamps, fitted, original)
+        write_profile(path, stamps, FittedPair(fitted, original))
     assert path.read_bytes() == before
 
     report_path = tmp_path / "out_report.json"

@@ -260,6 +260,8 @@ def run_fit(config: CliConfig) -> int:
     suffixes = ["_fitted.csv", "_report.json"]
     if config.emit_plot_data:
         suffixes += ["_chronological.csv", "_sorted.csv"]
+    # Each output is first written to its sibling <name>.tmp, then renamed.
+    suffixes = [suffix + tmp for suffix in suffixes for tmp in ("", ".tmp")]
     # Each directory resolved once, so an --out-dir that links to an input's
     # is caught; an input that is itself a link is resolved whole.
     real = {d: os.path.realpath(d) for d in {config.out_dir, *map(os.path.dirname, paths)}}

@@ -11,7 +11,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
-import io
 import json
 import os
 from dataclasses import asdict, dataclass
@@ -350,19 +349,18 @@ def write_profile(
     precision, so reading the file back reproduces them exactly; each
     distinct value of a Profile is formatted once per pair, for this writer
     and :func:`write_plot_data` both. A timestamp is written as
-    ``format(stamp)``. A delimiter that :class:`CsvLayout` refuses raises
-    ValueError before any file is opened.
+    ``format(stamp)``. A field holding the delimiter, a quote, ``\\r`` or
+    ``\\n`` is quoted as csv.writer quotes it. A delimiter that
+    :class:`CsvLayout` refuses raises ValueError before any file is opened.
     """
     _check_delimiter(delimiter)
     header = ["original", "fitted"]
-    pieces = [text for _, text in pair._tables]
     stamps = None
     if timestamps is not None:
         header.insert(0, "time")
-        stamps = list(map(format, timestamps))
-        pieces.append(stamps)
+        stamps = _quoted(list(map(format, timestamps)), delimiter)
     columns = [(text, _input_order(table)) for table, text in pair._tables]
-    _write_csv(path, header, stamps, columns, pieces, delimiter)
+    _write_csv(path, header, stamps, columns, delimiter)
 
 
 def write_report(path, report: FitReport) -> None:
@@ -388,11 +386,10 @@ def write_plot_data(path_prefix, pair: FittedPair) -> None:
     """
     prefix = str(path_prefix)
     header = ["index", "original", "fitted"]
-    index = _index_text(len(pair.original))
-    pieces = ["0123456789", *(text for _, text in pair._tables)]  # the index is digits only
+    index = _index_text(len(pair.original))  # digits, never quoted under ","
     for name, take in [("chronological", _input_order), ("sorted", _descending_order)]:
         columns = [(text, take(table)) for table, text in pair._tables]
-        _write_csv(f"{prefix}_{name}.csv", header, index, columns, pieces)
+        _write_csv(f"{prefix}_{name}.csv", header, index, columns)
 
 
 @functools.lru_cache(maxsize=1)
@@ -452,21 +449,16 @@ def _replacing(path):
         raise
 
 
-def _write_csv(path, header: list[str], head, columns, pieces, delimiter: str = ",") -> None:
+def _write_csv(path, header: list[str], head, columns, delimiter: str = ",") -> None:
     """Write a header, then per row ``head``'s text (unless ``head`` is None)
-    and the text of the two ``columns``.
+    and the text of the two ``columns``, as csv.writer writes them.
 
-    ``head`` is a sequence of row texts. Each column is a pair ``(texts,
-    take)``: its text in row i is ``texts[take[i]]``. ``pieces`` is a list
-    of text sequences in which every character of every field occurs, such
-    as the distinct texts a column is taken from. Raises
+    ``head`` is a sequence of row texts, already quoted. Each column is a
+    pair ``(texts, take)``: its text in row i is ``texts[take[i]]``. Raises
     :class:`LengthMismatchError`, before any file is opened, when the
-    columns differ in length. If the header or some piece holds the
-    delimiter, a newline, a quote, ``\\r`` or NUL (text csv may quote or
-    reject), the text columns are built and the whole file goes through
-    :func:`_write_rows`, so every byte is that of :func:`_write_rows`;
-    otherwise the header and the rows are joined as they are, the rows by
-    :func:`_join_rows`.
+    columns differ in length. The header and each column's distinct texts
+    are quoted by :func:`_quoted`, once per text, and the rows are joined
+    by :func:`_join_rows`.
     """
     heads = [] if head is None else [head]
     lengths = [*map(len, heads), *(take.size for _, take in columns)]
@@ -475,21 +467,33 @@ def _write_csv(path, header: list[str], head, columns, pieces, delimiter: str = 
             "columns differ in length: "
             + ", ".join(f"{name} has {n}" for name, n in zip(header, lengths))
         )
-    joined = ["".join(texts) for texts in [header, *pieces]]
-    if any(delimiter in text or "\n" in text or _needs_csv(text) for text in joined):
-        columns = [texts[take].tolist() for texts, take in columns]
-        with _replacing(path) as fh:
-            _write_rows(fh, [header], delimiter)
-            _write_rows(fh, zip(*heads, *columns), delimiter)
-    else:
-        body = _join_rows(head, columns, delimiter)
-        with _replacing(path) as fh:
-            fh.write(delimiter.join(header) + "\n")
-            fh.write(body)
+    columns = [(np.asarray(_quoted(t, delimiter), dtype=object), take) for t, take in columns]
+    body = _join_rows(head, columns, delimiter)
+    with _replacing(path) as fh:
+        fh.write(delimiter.join(_quoted(header, delimiter)) + "\n")
+        fh.write(body)
+
+
+def _quoted(texts, delimiter: str):
+    """``texts`` as csv.writer writes each as a field under a ``"\\r\\n"``
+    terminator: wrapped in quotes, its quotes doubled, when it holds
+    ``delimiter``, ``"``, ``\\r`` or ``\\n``. ``texts`` itself when none does.
+
+    Under a ``"\\n"`` terminator csv.writer leaves ``\\r`` bare, and a reader
+    then splits the row there.
+    """
+    special = (delimiter, '"', "\r", "\n")
+    joined = "".join(texts)
+    if not any(c in joined for c in special):
+        return texts
+    return [
+        '"' + text.replace('"', '""') + '"' if any(c in text for c in special) else text
+        for text in texts
+    ]
 
 
 def _join_rows(head, columns, delimiter: str) -> str:
-    """The rows of :func:`_write_csv`, none of whose pieces needs csv, in
+    """The rows of :func:`_write_csv`, whose texts are already quoted, in
     one ``"".join``.
 
     Each row is ``head``'s text, if any, then a row tail
@@ -519,20 +523,3 @@ def _join_rows(head, columns, delimiter: str) -> str:
     rows[::2] = head
     rows[1::2] = tails
     return "".join(rows)
-
-
-def _write_rows(fh, rows, delimiter: str) -> None:
-    """Write rows as ``csv.writer(fh, delimiter, lineterminator="\\n")`` does,
-    except that a field holding ``\\r`` is quoted.
-
-    Such a writer leaves ``\\r`` bare, and a reader then splits the row
-    there. Under a ``"\\r\\n"`` terminator csv.writer quotes it, so rows are
-    written with that terminator, swapped for ``"\\n"``.
-    """
-    buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\r\n")
-    for r in rows:
-        writer.writerow(r)
-        fh.write(buf.getvalue()[:-2] + "\n")
-        buf.seek(0)
-        buf.truncate()

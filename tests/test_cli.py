@@ -151,7 +151,15 @@ def test_stem_collision_is_rejected(tmp_path) -> None:
 
 @pytest.mark.parametrize(
     "victim, flags",
-    [("x_fitted.csv", []), ("x_report.json", []), ("x_sorted.csv", ["--plot-data"])],
+    [
+        ("x_fitted.csv", []),
+        ("x_report.json", []),
+        ("x_sorted.csv", ["--plot-data"]),
+        # Each output is written to <name>.tmp first, which would destroy it.
+        ("x_fitted.csv.tmp", []),
+        ("x_report.json.tmp", []),
+        ("x_sorted.csv.tmp", ["--plot-data"]),
+    ],
 )
 def test_output_that_would_overwrite_an_input_is_refused(
     tmp_path, monkeypatch, capsys, victim, flags

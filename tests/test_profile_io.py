@@ -144,15 +144,22 @@ def test_write_profile_length_mismatch(tmp_path) -> None:
     assert list(tmp_path.iterdir()) == []  # no output, no .tmp
 
 
-def test_fitted_column_round_trip(tmp_path) -> None:
+# With "e" the header's "fitted" and every value in e-notation are quoted;
+# with "-" every such value with a negative exponent is.
+@pytest.mark.parametrize("delimiter", [",", ";", "e", "-"])
+def test_fitted_column_round_trip(tmp_path, delimiter) -> None:
     rng = np.random.default_rng(11)
-    original = validate_profile(rng.uniform(0.0, 1.0, size=200))
+    values = rng.uniform(0.0, 1.0, size=200)
+    values[: len(AWKWARD)] = AWKWARD
+    original = validate_profile(values)
     fitted = apply_exponent(original, 0.731)
     path = tmp_path / "round.csv"
-    write_profile(path, None, FittedPair(original, fitted))
-    layout = CsvLayout(preamble_lines=0, value_column="fitted", time_column=None)
+    write_profile(path, None, FittedPair(original, fitted), delimiter=delimiter)
+    layout = CsvLayout(
+        preamble_lines=0, value_column="fitted", time_column=None, delimiter=delimiter
+    )
     back, _ = read_profile(path, layout)
-    np.testing.assert_allclose(back.values, fitted.values, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(back.values, fitted.values, rtol=0, atol=0)
 
 
 def test_write_report_serializes_all_fields(tmp_path) -> None:
@@ -329,17 +336,17 @@ def _independent_profiles(n):
     return validate_profile(values), validate_profile(fitted)
 
 
-# Reprs such as -0.0 and 1e-05 hold "-", "0" and "1", so those send a file
-# through csv for a value's text alone.
-@pytest.mark.parametrize("delimiter", [",", ";", "e", ".", "-", "0", "1"])
-@pytest.mark.parametrize("odd_stamp", [None, "1,2", 'say "hi"', "a\nb", "a\rb"])
+# Reprs such as -0.0 and 1e-05 hold "-", "0" and "1", so with those
+# delimiters a value's text alone is quoted.
+@pytest.mark.parametrize("delimiter", [",", ";", "e", ".", "-", "0", "1", " ", "\t"])
+@pytest.mark.parametrize("odd_stamp", [None, "1,2", 'say "hi"', "a\nb", "a\rb", "", " x"])
 def test_write_profile_matches_csv_writer(tmp_path, delimiter, odd_stamp) -> None:
     original, fitted = _awkward_profiles(1300)
     _assert_fitted_file_matches_csv_writer(tmp_path, original, fitted, delimiter, odd_stamp)
 
 
-@pytest.mark.parametrize("delimiter", [",", ";", "e", ".", "-", "0", "1"])
-@pytest.mark.parametrize("odd_stamp", [None, "1,2", 'say "hi"', "a\nb", "a\rb"])
+@pytest.mark.parametrize("delimiter", [",", ";", "e", ".", "-", "0", "1", " ", "\t"])
+@pytest.mark.parametrize("odd_stamp", [None, "1,2", 'say "hi"', "a\nb", "a\rb", "", " x"])
 def test_write_profile_matches_csv_writer_for_any_fitted(tmp_path, delimiter, odd_stamp) -> None:
     # Each row's original and fitted text pair up per distinct pair here,
     # not per distinct original value.
@@ -347,13 +354,23 @@ def test_write_profile_matches_csv_writer_for_any_fitted(tmp_path, delimiter, od
     _assert_fitted_file_matches_csv_writer(tmp_path, original, fitted, delimiter, odd_stamp)
 
 
+class _TwoFaced:
+    def __format__(self, spec):
+        return "formatted"
+
+    def __str__(self):
+        return "str"
+
+
 def _assert_fitted_file_matches_csv_writer(tmp_path, original, fitted, delimiter, odd_stamp):
-    # An odd stamp sends the whole file through csv, so every row, before
-    # and after it, must come out as csv.writer writes it.
+    # An odd stamp is quoted, or not, on its own: every row, before and
+    # after it, must come out as csv.writer writes it. Each stamp is
+    # written as format(stamp), whichever other stamps need quoting.
     stamps = [f"2019-01-01 {i % 24:02d}:00" for i in range(1300)]
+    stamps[100] = _TwoFaced()
     if odd_stamp is not None:
         stamps[700] = odd_stamp
-    rows = zip(stamps, original.values.tolist(), fitted.values.tolist())
+    rows = zip(map(format, stamps), original.values.tolist(), fitted.values.tolist())
     want = _csv_reference(["time", "original", "fitted"], rows, delimiter)
     if odd_stamp == "a\rb":
         # csv.writer leaves "\r" bare under a "\n" terminator; write_profile quotes it.
@@ -365,28 +382,6 @@ def _assert_fitted_file_matches_csv_writer(tmp_path, original, fitted, delimiter
     rows = zip(original.values.tolist(), fitted.values.tolist())
     want = _csv_reference(["original", "fitted"], rows, delimiter)
     write_profile(path, None, FittedPair(original, fitted), delimiter=delimiter)
-    assert path.read_bytes() == want
-
-
-class _TwoFaced:
-    def __format__(self, spec):
-        return "formatted"
-
-    def __str__(self):
-        return "str"
-
-
-def test_timestamps_are_formatted_on_both_write_paths(tmp_path) -> None:
-    # The comma stamp sends the file through csv; every stamp must still be
-    # written as format(stamp), as on the join path.
-    original, fitted = _awkward_profiles(1300)
-    stamps = [f"t{i}" for i in range(1300)]
-    stamps[100] = stamps[700] = _TwoFaced()
-    stamps[701] = "1,2"
-    rows = zip(map(format, stamps), original.values.tolist(), fitted.values.tolist())
-    want = _csv_reference(["time", "original", "fitted"], rows)
-    path = tmp_path / "out.csv"
-    write_profile(path, stamps, FittedPair(original, fitted))
     assert path.read_bytes() == want
 
 

@@ -23,6 +23,7 @@ from pathlib import Path
 from . import __version__
 from .fitcore import (
     FitOptions,
+    FitOutcome,
     FitStatus,
     ProfileFitError,
     TargetOutOfRangeError,
@@ -32,7 +33,6 @@ from .fitcore import (
 )
 from .profile_io import (
     CsvLayout,
-    FitReport,
     FittedPair,
     read_profile,
     write_plot_data,
@@ -171,7 +171,8 @@ def resolve_targets(config: CliConfig, paths: list[str]) -> dict[str, float]:
 @dataclass
 class _FileResult:
     path: str
-    report: FitReport | None = None
+    target: float | None = None
+    outcome: FitOutcome | None = None
     error: str | None = None
 
 
@@ -180,27 +181,15 @@ def _fit_one(path: str, mu: float, config: CliConfig) -> _FileResult:
         profile, timestamps = read_profile(path, config.layout)
         outcome = find_solution(profile, mu, config.options)
         pair = FittedPair(profile, apply_exponent(profile, outcome.exponent))
-        stats = outcome.stats
 
         stem = Path(path).stem
         out_dir = Path(config.out_dir)
         write_profile(out_dir / f"{stem}_fitted.csv", timestamps, pair, config.layout.delimiter)
-        report = FitReport(
-            input_path=str(path),
-            m=stats.m,
-            r=stats.r,
-            n=stats.n,
-            current_cf=stats.mean,
-            target_cf=float(mu),
-            exponent=float(outcome.exponent),
-            achieved_cf=float(outcome.achieved_mean),
-            status=outcome.status.value,
-            iterations=int(outcome.iterations),
-        )
-        write_report(out_dir / f"{stem}_report.json", report)
+        write_report(out_dir / f"{stem}_report.json", path, mu, outcome)
         if config.emit_plot_data:
             write_plot_data(out_dir / stem, pair)
-        return _FileResult(path, report=report)
+        # As a float, as the report has it: a Fraction target has no :g format.
+        return _FileResult(path, target=float(mu), outcome=outcome)
     except Exception as exc:  # one bad file never stops the batch
         return _FileResult(path, error=f"{type(exc).__name__}: {exc}")
 
@@ -319,13 +308,13 @@ def run_fit(config: CliConfig) -> int:
             any_error = True
             print(f"{res.path}: error: {res.error}")
             continue
-        rep = res.report
-        if rep.status != FitStatus.EXACT.value:
+        out = res.outcome
+        if out.status is not FitStatus.EXACT:
             any_clamp = True
         print(
-            f"{res.path}: current_cf={rep.current_cf:.6f} target={rep.target_cf:g} "
-            f"exponent={rep.exponent:.6g} achieved={rep.achieved_cf:.6f} "
-            f"status={rep.status}"
+            f"{res.path}: current_cf={out.stats.mean:.6f} target={res.target:g} "
+            f"exponent={out.exponent:.6g} achieved={out.achieved_mean:.6f} "
+            f"status={out.status.value}"
         )
 
     if any_error:

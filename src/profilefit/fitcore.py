@@ -14,8 +14,8 @@ Newton steps on log S(x) = log mu from the bracket's left end
 convex and decreasing, so those steps approach the root from one side and
 need no fallback; the solve stops at the residual tolerance, or where
 rounding ends their progress. Targets outside the reachable band
-(n/m, r/m] are clamped to x = 0 or to a fixed exponent of 1000;
-:func:`classify_feasibility` gives the :class:`FitStatus` of each case.
+(n/m, r/m] are clamped to x = 0 or to a fixed exponent of 1000, and
+:func:`find_solution` records which case applied as a :class:`FitStatus`.
 
 The fit's operations read the positive values and their logs from the
 :class:`Profile`, which builds each array on first use and keeps it, so a
@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -47,7 +48,6 @@ __all__ = [
     "ValueOutOfRangeError",
     "apply_exponent",
     "bisect_root",
-    "classify_feasibility",
     "find_search_interval",
     "find_solution",
     "mean_power",
@@ -119,16 +119,17 @@ class Profile:
     """A validated per-unit availability series.
 
     Holds a read-only, non-empty, 1-D float64 array with every value in
-    [0, 1]. Construct through :func:`validate_profile`, which also checks
-    the range; code that builds a new float64 array of values known to be
-    in range (e.g. :func:`apply_exponent`) may hand it over directly. The
-    array is not copied, only made read-only, and its values must not
-    change once the Profile is built: the fit reuses arrays derived from
-    them.
+    [0, 1]. :func:`validate_profile` builds one from any sequence of
+    numbers. The array is not copied, only made read-only, and its values
+    must not change once the Profile is built: the fit reuses arrays
+    derived from them.
 
     Refuses, in this order, anything but a float64 array (a list, float32
     or big-endian float64 too) with TypeError, one that is not 1-D with
-    ValueError, and an empty one with :class:`EmptyProfileError`.
+    ValueError, and an empty one with :class:`EmptyProfileError`. Then the
+    first value outside [0, 1], in input order, raises
+    :class:`NonFiniteValueError` if it is NaN or infinite, else
+    :class:`ValueOutOfRangeError`.
 
     The fit's derived data, the positive values and their logs, are built
     on first use and kept, read-only, for the Profile's lifetime; they are
@@ -146,6 +147,13 @@ class Profile:
             raise ValueError(f"expected a 1-D sequence of values, got shape {self.values.shape}")
         if self.values.size == 0:
             raise EmptyProfileError()
+        ok = (self.values >= 0.0) & (self.values <= 1.0)  # False for NaN and +-inf too
+        if not ok.all():
+            idx = int(np.argmin(ok))
+            value = float(self.values[idx])
+            if not math.isfinite(value):
+                raise NonFiniteValueError(idx)
+            raise ValueOutOfRangeError(idx, value)
         self.values.setflags(write=False)
 
     def __len__(self) -> int:
@@ -178,33 +186,28 @@ class Profile:
 
 @dataclass(frozen=True)
 class ProfileStats:
-    """Counts that bound the reachable mean band (asymptote, max_reachable]."""
+    """Counts that bound the reachable mean band (n/m, r/m]: S(0) = r/m, and
+    S(x) falls towards n/m as x grows."""
 
     m: int      # total number of values
     r: int      # values strictly greater than 0
     n: int      # values exactly equal to 1
     mean: float  # arithmetic mean of all values, the current capacity factor
 
-    @property
-    def max_reachable(self) -> float:
-        """Largest attainable mean, r/m: the value of S at exponent 0."""
-        return self.r / self.m
-
-    @property
-    def asymptote(self) -> float:
-        """Limit of the mean as the exponent grows, n/m."""
-        return self.n / self.m
-
 
 @dataclass(frozen=True)
 class FitOptions:
-    """The residual tolerance of the root solve; ValueError unless positive and finite."""
+    """The residual tolerance of the root solve; ValueError unless a real
+    number, not a bool, that is positive and finite."""
 
     residual_tol: float = 1e-10
 
     def __post_init__(self):
-        if not (math.isfinite(self.residual_tol) and self.residual_tol > 0.0):
-            raise ValueError(f"residual_tol must be positive and finite, got {self.residual_tol!r}")
+        tol = self.residual_tol
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+            raise ValueError(f"residual_tol must be a real number, got {tol!r}")
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ValueError(f"residual_tol must be positive and finite, got {tol!r}")
 
 
 class FitStatus(enum.Enum):
@@ -221,8 +224,8 @@ class FitOutcome:
     achieved_mean: float
     status: FitStatus
     iterations: int
-    bracket: tuple[float, float] | None = None
-    stats: ProfileStats | None = None  # of the profile that was fitted
+    stats: ProfileStats  # of the profile that was fitted
+    bracket: tuple[float, float] | None = None  # of an EXACT fit only
 
 
 # ---------------------------------------------------------------------------
@@ -230,25 +233,14 @@ class FitOutcome:
 # ---------------------------------------------------------------------------
 
 def validate_profile(values) -> Profile:
-    """Check a sequence of numbers and wrap it as a :class:`Profile`.
+    """Wrap a sequence of numbers as a :class:`Profile` of its float64 copy.
 
-    Every value must be finite and within [0, 1]. Input order is preserved.
-    The profile holds its own float64 copy, so a caller's array is neither
-    aliased nor made read-only. :class:`Profile` refuses a sequence that is
-    not 1-D or is empty; then the first offending value, in input order,
-    raises :class:`NonFiniteValueError` if it is NaN or infinite, else
-    :class:`ValueOutOfRangeError`.
+    Input order is preserved. The profile holds its own copy, so a
+    caller's array is neither aliased nor made read-only. :class:`Profile`
+    refuses a sequence that is not 1-D, is empty, or holds a value outside
+    [0, 1].
     """
-    p = Profile(np.array(values, dtype=np.float64))
-    v = p.values
-    ok = (v >= 0.0) & (v <= 1.0)  # False for NaN and +-inf too
-    if not ok.all():
-        idx = int(np.argmin(ok))
-        value = float(v[idx])
-        if not math.isfinite(value):
-            raise NonFiniteValueError(idx)
-        raise ValueOutOfRangeError(idx, value)
-    return p
+    return Profile(np.array(values, dtype=np.float64))
 
 
 def profile_stats(p: Profile) -> ProfileStats:
@@ -267,20 +259,6 @@ def mean_power(p: Profile, x: float) -> float:
     which is the correct limit.
     """
     return float(np.sum(p._positive ** x) / p.values.size)
-
-
-def classify_feasibility(stats: ProfileStats, mu: float) -> FitStatus:
-    """The status a fit to ``mu`` gets: S(x) = mu has a root iff n/m < mu <= r/m.
-
-    ``EXACT`` inside that band, ``CLAMPED_LOW`` (exponent 0) for a target
-    above r/m, ``CLAMPED_HIGH`` (a fixed exponent of 1000) for one at or
-    below n/m.
-    """
-    if mu > stats.max_reachable:
-        return FitStatus.CLAMPED_LOW
-    if mu <= stats.asymptote:
-        return FitStatus.CLAMPED_HIGH
-    return FitStatus.EXACT
 
 
 # Each bracket end moves out by this many units of b + mu / ((mu - n/m) * |l_max|).
@@ -421,11 +399,12 @@ def find_solution(p, mu: float, opts: FitOptions | None = None) -> FitOutcome:
 
     ``p`` may be a :class:`Profile` or any raw sequence, which is validated
     first; ``mu`` must lie in (0, 1), else :class:`TargetOutOfRangeError`.
-    The status is :func:`classify_feasibility`'s: targets in (n/m, r/m] are
+    S(x) = mu has a root iff n/m < mu <= r/m. Targets in that band are
     solved exactly (closed-form bracket + Newton from its left end),
-    whatever the size of the root; a target above r/m clamps to exponent 0,
-    a target at or below n/m to a fixed exponent of 1000.
-    The outcome carries the profile's :class:`ProfileStats`.
+    whatever the size of the root; a target above r/m clamps to exponent 0
+    (``CLAMPED_LOW``), a target at or below n/m to a fixed exponent of 1000
+    (``CLAMPED_HIGH``). The outcome carries the profile's
+    :class:`ProfileStats`.
     """
     if not isinstance(p, Profile):
         p = validate_profile(p)
@@ -434,27 +413,15 @@ def find_solution(p, mu: float, opts: FitOptions | None = None) -> FitOutcome:
         raise TargetOutOfRangeError(mu)
 
     stats = profile_stats(p)
-    status = classify_feasibility(stats, mu)
-    if status is not FitStatus.EXACT:
-        x = 0.0 if status is FitStatus.CLAMPED_LOW else _CLAMPED_HIGH_EXPONENT
-        return FitOutcome(
-            exponent=x,
-            achieved_mean=mean_power(p, x),
-            status=status,
-            iterations=0,
-            stats=stats,
-        )
-
-    a, b = find_search_interval(p, mu)
-    x, iterations, achieved = bisect_root(p, mu, a, b, opts)
-    return FitOutcome(
-        exponent=x,
-        achieved_mean=achieved,
-        status=FitStatus.EXACT,
-        iterations=iterations,
-        bracket=(a, b),
-        stats=stats,
-    )
+    if mu > stats.r / stats.m:
+        status, x = FitStatus.CLAMPED_LOW, 0.0
+    elif mu <= stats.n / stats.m:
+        status, x = FitStatus.CLAMPED_HIGH, _CLAMPED_HIGH_EXPONENT
+    else:
+        a, b = find_search_interval(p, mu)
+        x, iterations, achieved = bisect_root(p, mu, a, b, opts)
+        return FitOutcome(x, achieved, FitStatus.EXACT, iterations, stats, bracket=(a, b))
+    return FitOutcome(x, mean_power(p, x), status, iterations=0, stats=stats)
 
 
 def apply_exponent(p, x: float) -> Profile:

@@ -13,12 +13,13 @@ import csv
 import functools
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .fitcore import (
+    FitOutcome,
     NonFiniteValueError,
     Profile,
     ProfileFitError,
@@ -29,7 +30,6 @@ from .fitcore import (
 __all__ = [
     "CsvLayout",
     "CsvParseError",
-    "FitReport",
     "FittedPair",
     "LengthMismatchError",
     "MissingColumnError",
@@ -101,22 +101,6 @@ def _check_delimiter(delimiter: str) -> None:
         raise ValueError("delimiter must be a single character")
     if delimiter in '"\r\n\0':
         raise ValueError(f"delimiter must not be a quote, newline or NUL, got {delimiter!r}")
-
-
-@dataclass(frozen=True)
-class FitReport:
-    """Everything a script needs to know about one completed fit."""
-
-    input_path: str
-    m: int
-    r: int
-    n: int
-    current_cf: float
-    target_cf: float
-    exponent: float
-    achieved_cf: float
-    status: str
-    iterations: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,9 +347,25 @@ def write_profile(
     _write_csv(path, header, stamps, columns, delimiter)
 
 
-def write_report(path, report: FitReport) -> None:
-    """Serialize one fit report as a single JSON object."""
-    text = json.dumps(asdict(report), indent=2) + "\n"
+def write_report(path, input_path, target: float, outcome: FitOutcome) -> None:
+    """Write one fit as a JSON object: ``input_path``, the fitted profile's
+    ``m``, ``r``, ``n`` and ``current_cf`` (its mean), ``target_cf``, then
+    the outcome's ``exponent``, ``achieved_cf``, ``status`` and
+    ``iterations``, in that order."""
+    stats = outcome.stats
+    report = {
+        "input_path": str(input_path),
+        "m": stats.m,
+        "r": stats.r,
+        "n": stats.n,
+        "current_cf": stats.mean,
+        "target_cf": float(target),
+        "exponent": outcome.exponent,
+        "achieved_cf": outcome.achieved_mean,
+        "status": outcome.status.value,
+        "iterations": outcome.iterations,
+    }
+    text = json.dumps(report, indent=2) + "\n"
     with _replacing(path) as fh:
         fh.write(text)
 
@@ -408,20 +408,17 @@ _SIGN_BIT = np.uint64(1 << 63)
 
 def _descending_order(table) -> np.ndarray:
     """The entries of a value ``table`` that list its values from the
-    largest to the smallest, NaN last.
+    largest to the smallest.
 
     The value table lists the bit patterns in ascending order: the values
     whose sign bit is clear ascend from ``0.0``, then those whose sign bit is
-    set descend from ``-0.0``, each sign's NaNs after its infinity. So the
-    distinct values are put in order without a sort, and each one's entry is
-    repeated by its count. ``-0.0`` ties with ``0.0``: when both occur, their
-    rows keep input order.
+    set descend from ``-0.0``. So the distinct values are put in order
+    without a sort, and each one's entry is repeated by its count. ``-0.0``
+    ties with ``0.0``: when both occur, their rows keep input order.
     """
     distinct, inverse, counts = table
     split = int(np.searchsorted(distinct.view(np.uint64), _SIGN_BIT))
     order = np.concatenate([np.arange(split)[::-1], np.arange(split, distinct.size)])
-    nan = np.isnan(distinct[order])
-    order = np.concatenate([order[~nan], order[nan]])
     take = np.repeat(order, counts[order])
     if 0 < split < distinct.size and distinct[0] == distinct[split] == 0.0:
         zeros = inverse[(inverse == 0) | (inverse == split)]

@@ -3,12 +3,14 @@ import math
 import os
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import write_profile_csv
 
+import profilefit
 from profilefit import cli
 from profilefit.cli import (
     EXIT_CLAMPED,
@@ -349,6 +351,94 @@ def test_version_flag(capsys) -> None:
         main(["--version"])
     assert excinfo.value.code == 0
     assert "profilefit 0.1.0" in capsys.readouterr().out
+
+
+def test_public_names_are_pinned() -> None:
+    # Adding or removing a public name is a deliberate change to this list.
+    assert sorted(profilefit.__all__) == [
+        "CsvLayout",
+        "CsvParseError",
+        "EmptyProfileError",
+        "FitOptions",
+        "FitOutcome",
+        "FitStatus",
+        "FittedPair",
+        "LengthMismatchError",
+        "MaxIterationsExceededError",
+        "MissingColumnError",
+        "NonFiniteValueError",
+        "Profile",
+        "ProfileFitError",
+        "ProfileStats",
+        "ProfileValidationError",
+        "TargetOutOfRangeError",
+        "ValueOutOfRangeError",
+        "__version__",
+        "apply_exponent",
+        "bisect_root",
+        "find_search_interval",
+        "find_solution",
+        "mean_power",
+        "profile_stats",
+        "read_profile",
+        "validate_profile",
+        "write_plot_data",
+        "write_profile",
+        "write_report",
+    ]
+
+
+def test_report_files_and_summary_lines_are_pinned(tmp_path, monkeypatch, capsys) -> None:
+    # The whole report text: key order, indent=2, float reprs and the final
+    # newline. Both fits are free of solver rounding: the exact one has its
+    # target at r/m, so its exponent is 0 after no step, and the clamped one
+    # is at the fixed exponent 1000, where 0.1 ** 1000 underflows to 0.
+    monkeypatch.chdir(tmp_path)
+    write_profile_csv("exact.csv", [0.0, 0.2, 0.9])
+    write_profile_csv("clamped.csv", [1.0, 0.1, 1.0])
+    Path("manifest.csv").write_text("exact.csv,0.6666666666666666\n")
+    config = CliConfig(
+        inputs=["exact.csv", "clamped.csv"],
+        target=Fraction(7, 20),  # printed and reported as a float
+        manifest="manifest.csv",
+        out_dir="out",
+        jobs=1,
+    )
+    assert run_fit(config) == EXIT_CLAMPED
+    assert capsys.readouterr().out == (
+        "exact.csv: current_cf=0.366667 target=0.666667 exponent=0 achieved=0.666667 "
+        "status=exact\n"
+        "clamped.csv: current_cf=0.700000 target=0.35 exponent=1000 achieved=0.666667 "
+        "status=clamped_high\n"
+    )
+    assert Path("out/exact_report.json").read_bytes() == (
+        b"{\n"
+        b'  "input_path": "exact.csv",\n'
+        b'  "m": 3,\n'
+        b'  "r": 2,\n'
+        b'  "n": 0,\n'
+        b'  "current_cf": 0.3666666666666667,\n'
+        b'  "target_cf": 0.6666666666666666,\n'
+        b'  "exponent": 0.0,\n'
+        b'  "achieved_cf": 0.6666666666666666,\n'
+        b'  "status": "exact",\n'
+        b'  "iterations": 0\n'
+        b"}\n"
+    )
+    assert Path("out/clamped_report.json").read_bytes() == (
+        b"{\n"
+        b'  "input_path": "clamped.csv",\n'
+        b'  "m": 3,\n'
+        b'  "r": 3,\n'
+        b'  "n": 2,\n'
+        b'  "current_cf": 0.7000000000000001,\n'
+        b'  "target_cf": 0.35,\n'
+        b'  "exponent": 1000.0,\n'
+        b'  "achieved_cf": 0.6666666666666666,\n'
+        b'  "status": "clamped_high",\n'
+        b'  "iterations": 0\n'
+        b"}\n"
+    )
 
 
 def test_parallel_jobs_match_serial(tmp_path) -> None:

@@ -2,6 +2,8 @@ import dataclasses
 import gc
 import math
 import weakref
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,12 +17,10 @@ from profilefit.fitcore import (
     MaxIterationsExceededError,
     NonFiniteValueError,
     Profile,
-    ProfileStats,
     TargetOutOfRangeError,
     ValueOutOfRangeError,
     apply_exponent,
     bisect_root,
-    classify_feasibility,
     find_search_interval,
     find_solution,
     mean_power,
@@ -86,6 +86,12 @@ def test_validate_reports_the_first_offending_value(values, error, index) -> Non
     # inf included; only then is its kind told apart.
     with pytest.raises(error) as excinfo:
         validate_profile(values)
+    assert excinfo.value.index == index
+    # Profile owns the check. Built directly, one used to take any value:
+    # [2.0, 0.5] was fitted EXACT to 0.9 with a mean of 1.025, and
+    # apply_exponent turned [1.5, 0.5, -0.2] into [2.25, 0.25, 0.0].
+    with pytest.raises(error) as excinfo:
+        Profile(np.array(values))
     assert excinfo.value.index == index
 
 
@@ -182,8 +188,6 @@ def test_stats_zero_and_one() -> None:
     s = profile_stats(validate_profile([0, 1]))
     assert (s.m, s.r, s.n) == (2, 1, 1)
     assert s.mean == 0.5
-    assert s.max_reachable == 0.5
-    assert s.asymptote == 0.5
 
 
 def test_stats_all_ones() -> None:
@@ -238,24 +242,27 @@ def test_derivative_matches_closed_form_and_finite_difference() -> None:
 
 
 # ---------------------------------------------------------------------------
-# classify_feasibility
+# the fit status: S(x) = mu has a root iff n/m < mu <= r/m
 # ---------------------------------------------------------------------------
 
 def test_classify_target_above_reachable_maximum() -> None:
-    stats = ProfileStats(m=2, r=1, n=1, mean=0.5)
-    assert classify_feasibility(stats, 0.6) is FitStatus.CLAMPED_LOW
+    out = find_solution([0.0, 1.0], 0.6)  # r/m = n/m = 0.5
+    assert out.status is FitStatus.CLAMPED_LOW
+    assert out.bracket is None
 
 
 def test_classify_target_at_or_below_asymptote() -> None:
-    stats = ProfileStats(m=4, r=4, n=2, mean=0.7)
-    assert classify_feasibility(stats, 0.4) is FitStatus.CLAMPED_HIGH
-    assert classify_feasibility(stats, 0.5) is FitStatus.CLAMPED_HIGH  # mu == n/m
+    p = validate_profile([1.0, 1.0, 0.4, 0.4])  # n/m = 0.5
+    assert find_solution(p, 0.4).status is FitStatus.CLAMPED_HIGH
+    assert find_solution(p, 0.5).status is FitStatus.CLAMPED_HIGH  # mu == n/m
+    assert find_solution(p, 0.5 + 1e-9).status is FitStatus.EXACT
 
 
 def test_classify_feasible_band() -> None:
-    stats = ProfileStats(m=3, r=3, n=0, mean=0.5)
-    assert classify_feasibility(stats, 0.6) is FitStatus.EXACT
-    assert classify_feasibility(stats, 1.0) is FitStatus.EXACT  # mu == r/m
+    p = validate_profile([0.0, 0.25, 0.5, 0.75])  # n/m = 0, r/m = 0.75
+    assert find_solution(p, 0.3).status is FitStatus.EXACT
+    assert find_solution(p, 0.75).status is FitStatus.EXACT  # mu == r/m
+    assert find_solution(p, np.nextafter(0.75, 1.0)).status is FitStatus.CLAMPED_LOW
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +692,7 @@ def test_mean_power_approaches_asymptote() -> None:
     ])
     p = validate_profile(values)
     s = profile_stats(p)
-    assert mean_power(p, 1000.0) == pytest.approx(s.asymptote, abs=1e-9)
+    assert mean_power(p, 1000.0) == pytest.approx(s.n / s.m, abs=1e-9)
 
 
 def test_fit_options_validation() -> None:
@@ -698,3 +705,17 @@ def test_fit_options_validation() -> None:
 def test_fit_options_reject_non_finite(name, value) -> None:
     with pytest.raises(ValueError, match=name):
         FitOptions(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "value", [True, "1e-8", None, Decimal("1e-8")], ids=["bool", "str", "none", "decimal"]
+)
+def test_fit_options_refuse_a_value_that_is_not_a_real_number(value) -> None:
+    # True was taken as a tolerance of 1, and "1e-8" raised TypeError.
+    with pytest.raises(ValueError, match="residual_tol must be a real number"):
+        FitOptions(residual_tol=value)
+
+
+def test_fit_options_take_any_positive_real_number() -> None:
+    for value in (np.float64(1e-8), Fraction(1, 10**8), 1):
+        assert FitOptions(residual_tol=value).residual_tol == value

@@ -12,8 +12,11 @@ import pytest
 
 from profilefit import fitcore, profile_io
 from profilefit.fitcore import (
+    FitOutcome,
+    FitStatus,
     NonFiniteValueError,
     Profile,
+    ProfileStats,
     ValueOutOfRangeError,
     apply_exponent,
     find_solution,
@@ -22,7 +25,6 @@ from profilefit.fitcore import (
 from profilefit.profile_io import (
     CsvLayout,
     CsvParseError,
-    FitReport,
     FittedPair,
     LengthMismatchError,
     MissingColumnError,
@@ -163,57 +165,41 @@ def test_fitted_column_round_trip(tmp_path, delimiter) -> None:
 
 
 def test_write_report_serializes_all_fields(tmp_path) -> None:
-    report = FitReport(
-        input_path="wind.csv",
-        m=8760,
-        r=8700,
-        n=12,
-        current_cf=0.32,
-        target_cf=0.6,
+    outcome = FitOutcome(
         exponent=2.0,
-        achieved_cf=0.6,
-        status="exact",
+        achieved_mean=0.6,
+        status=FitStatus.EXACT,
         iterations=41,
+        stats=ProfileStats(m=8760, r=8700, n=12, mean=0.32),
+        bracket=(1.5, 2.5),  # not reported
     )
     path = tmp_path / "report.json"
-    write_report(path, report)
-    loaded = json.loads(path.read_text())
-    assert loaded == {
-        "input_path": "wind.csv",
-        "m": 8760,
-        "r": 8700,
-        "n": 12,
-        "current_cf": 0.32,
-        "target_cf": 0.6,
-        "exponent": 2.0,
-        "achieved_cf": 0.6,
-        "status": "exact",
-        "iterations": 41,
-    }
-    assert isinstance(loaded["exponent"], float)
-    buf = io.StringIO()
-    json.dump(dataclasses.asdict(report), buf, indent=2)
-    assert path.read_text() == buf.getvalue() + "\n"
+    # The target is written as a float, whatever number type it came as.
+    write_report(path, "wind.csv", np.float32(0.5), outcome)
+    assert path.read_text() == (
+        "{\n"
+        '  "input_path": "wind.csv",\n'
+        '  "m": 8760,\n'
+        '  "r": 8700,\n'
+        '  "n": 12,\n'
+        '  "current_cf": 0.32,\n'
+        '  "target_cf": 0.5,\n'
+        '  "exponent": 2.0,\n'
+        '  "achieved_cf": 0.6,\n'
+        '  "status": "exact",\n'
+        '  "iterations": 41\n'
+        "}\n"
+    )
 
 
 def test_write_report_clamped_low_has_zero_exponent(tmp_path) -> None:
-    report = FitReport(
-        input_path="a.csv",
-        m=2,
-        r=1,
-        n=1,
-        current_cf=0.5,
-        target_cf=0.6,
-        exponent=0.0,
-        achieved_cf=0.5,
-        status="clamped_low",
-        iterations=0,
-    )
+    outcome = find_solution(validate_profile([0.0, 1.0]), 0.6)
     path = tmp_path / "report.json"
-    write_report(path, report)
+    write_report(path, "a.csv", 0.6, outcome)
     loaded = json.loads(path.read_text())
     assert loaded["exponent"] == 0.0
     assert loaded["status"] == "clamped_low"
+    assert (loaded["m"], loaded["r"], loaded["n"], loaded["current_cf"]) == (2, 1, 1, 0.5)
 
 
 def test_plot_data_sorted_descending(tmp_path) -> None:
@@ -434,8 +420,7 @@ SIGNED_ZEROS = [0.5, -0.0, 0.0, 0.5, 1.0, -0.0, 0.25, 0.0, 1.0, 0.25, -0.0]
 )
 def test_sorted_plot_file_is_each_column_sorted(tmp_path, case) -> None:
     # Each column must be sorted whatever order the fitted column takes
-    # against original, with ties and signed zeros. A Profile built directly
-    # may hold values outside [0, 1], and every one of them is written.
+    # against original, with ties and signed zeros.
     rng = np.random.default_rng(11)
     original = validate_profile(np.round(rng.uniform(0.0, 1.0, size=1300), 2))
     if case == "signed-zeros":
@@ -444,8 +429,14 @@ def test_sorted_plot_file_is_each_column_sorted(tmp_path, case) -> None:
     elif case == "fitted-signed-zeros":
         fitted = validate_profile(SIGNED_ZEROS * 100 + [0.0] * 200)
     elif case == "outside-unit-range":
+        # A Profile built directly once held values outside [0, 1], and the
+        # plot writer wrote every one of them; now none can reach it.
         values = np.array([0.5, -0.25, 0.0, 1.5, -0.0, 0.5] * 20)
-        original, fitted = Profile(values), Profile(values[::-1].copy())
+        with pytest.raises(ValueOutOfRangeError, match="index 1"):
+            Profile(values)
+        with pytest.raises(NonFiniteValueError, match="index 2"):
+            Profile(np.array([0.5, 0.0, np.nan]))
+        return
     elif case == "unrelated-fitted":
         fitted = validate_profile(rng.uniform(0.0, 1.0, size=1300))
     else:  # clamped fits: every positive value ties at 1.0, or underflows to 0.0
@@ -738,10 +729,10 @@ def test_failed_writes_keep_the_previous_file(tmp_path) -> None:
     assert path.read_bytes() == before
 
     report_path = tmp_path / "out_report.json"
-    report = FitReport("in.csv", 3, 0, 0, 0.5, 0.4, 1.2, 0.4, "exact", 5)
-    write_report(report_path, report)
+    outcome = FitOutcome(1.2, 0.4, FitStatus.EXACT, 5, ProfileStats(m=3, r=3, n=0, mean=0.5))
+    write_report(report_path, "in.csv", 0.4, outcome)
     before = report_path.read_bytes()
     with pytest.raises(TypeError):  # json.dumps fails on the last field
-        write_report(report_path, dataclasses.replace(report, iterations=object()))
+        write_report(report_path, "in.csv", 0.4, dataclasses.replace(outcome, iterations=object()))
     assert report_path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out_report.json"]

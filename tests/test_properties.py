@@ -15,7 +15,6 @@ from profilefit.fitcore import (
     ProfileFitError,
     ProfileStats,
     apply_exponent,
-    classify_feasibility,
     find_search_interval,
     find_solution,
     mean_power,
@@ -100,9 +99,10 @@ def test_apply_exponent_preserves_order(values, x) -> None:
 def test_search_interval_straddles_target(values, band_fraction) -> None:
     p = validate_profile(values)
     s = profile_stats(p)
-    mu = s.asymptote + band_fraction * (s.max_reachable - s.asymptote)
+    asymptote, reachable = s.n / s.m, s.r / s.m
+    mu = asymptote + band_fraction * (reachable - asymptote)
     assume(0.0 < mu < 1.0)
-    assume(s.asymptote < mu <= s.max_reachable)
+    assume(asymptote < mu <= reachable)
     a, b = find_search_interval(p, mu)
     assert 0.0 <= a <= b
     fa = mean_power(p, a) - mu
@@ -121,14 +121,14 @@ def test_fit_status_encodes_feasibility(values, mu) -> None:
     s = profile_stats(p)
     out = find_solution(p, mu)
     if out.status is FitStatus.CLAMPED_LOW:
-        assert mu > s.max_reachable
+        assert mu > s.r / s.m
         assert out.exponent == 0.0
-        assert out.achieved_mean == s.max_reachable
+        assert out.achieved_mean == s.r / s.m
     elif out.status is FitStatus.CLAMPED_HIGH:
-        assert mu <= s.asymptote
+        assert mu <= s.n / s.m
         assert out.exponent == 1000.0
     else:
-        assert s.asymptote < mu <= s.max_reachable
+        assert s.n / s.m < mu <= s.r / s.m
         assert abs(out.achieved_mean - mu) <= 1e-10
 
 
@@ -139,7 +139,14 @@ def test_fit_status_is_the_classified_one(values, mu) -> None:
         out = find_solution(p, mu)
     except ProfileFitError:
         return
-    assert out.status is classify_feasibility(profile_stats(p), mu)
+    # S(x) = mu has a root iff n/m < mu <= r/m, counted here from the values.
+    v = np.array(values)
+    if mu > np.count_nonzero(v > 0.0) / v.size:
+        assert out.status is FitStatus.CLAMPED_LOW
+    elif mu <= np.count_nonzero(v == 1.0) / v.size:
+        assert out.status is FitStatus.CLAMPED_HIGH
+    else:
+        assert out.status is FitStatus.EXACT
 
 
 @given(
@@ -183,9 +190,10 @@ def test_exact_fit_lies_in_its_bracket_and_meets_the_residual(
 ) -> None:
     p = validate_profile(values)
     s = profile_stats(p)
-    mu = s.asymptote + band_fraction * (s.max_reachable - s.asymptote)
+    asymptote, reachable = s.n / s.m, s.r / s.m
+    mu = asymptote + band_fraction * (reachable - asymptote)
     assume(0.0 < mu < 1.0)
-    assume(s.asymptote < mu <= s.max_reachable)
+    assume(asymptote < mu <= reachable)
     out = find_solution(p, mu, FitOptions(residual_tol=residual_tol))
     assert out.status is FitStatus.EXACT
     a, b = out.bracket
@@ -224,9 +232,10 @@ def test_near_constant_profile_bracket_straddles_and_fit_meets_the_residual(
 ) -> None:
     p = validate_profile(values)
     s = profile_stats(p)
-    mu = s.asymptote + band_fraction * (s.max_reachable - s.asymptote)
+    asymptote, reachable = s.n / s.m, s.r / s.m
+    mu = asymptote + band_fraction * (reachable - asymptote)
     assume(0.0 < mu < 1.0)
-    assume(s.asymptote < mu <= s.max_reachable)
+    assume(asymptote < mu <= reachable)
     a, b = find_search_interval(p, mu)
     assert 0.0 <= a <= b
     assert mean_power(p, a) >= mu >= mean_power(p, b)

@@ -17,9 +17,13 @@ rounding ends their progress. Targets outside the reachable band
 (n/m, r/m] are clamped to x = 0 or to a fixed exponent of 1000, and
 :func:`find_solution` records which case applied as a :class:`FitStatus`.
 
-The fit's operations read the positive values and their logs from the
-:class:`Profile`, which builds each array on first use and keeps it, so a
-fit builds one mask and one log and a refit of the same profile neither.
+The fit's operations read the mask of positive values, those values, their
+logs and the profile's :class:`ProfileStats` from the :class:`Profile`,
+which builds each on first use and keeps it, so a refit of the same profile
+rebuilds none of them. The Profile also keeps the powers ``p ** x`` of the
+last exponent that :func:`mean_power` or :func:`apply_exponent` took, so
+:func:`apply_exponent` at the exponent a fit returned reuses the powers of
+the fit's last S(x), and a fit plus its application pays for one pow.
 """
 
 from __future__ import annotations
@@ -131,10 +135,15 @@ class Profile:
     :class:`NonFiniteValueError` if it is NaN or infinite, else
     :class:`ValueOutOfRangeError`.
 
-    The fit's derived data, the positive values and their logs, are built
-    on first use and kept, read-only, for the Profile's lifetime; they are
-    not fields. They cost at most 16 bytes per positive value, about 140 KB
-    for an annual hourly profile, plus three numbers for the bracket.
+    The fit's derived data are built on first use and kept, read-only, for
+    the Profile's lifetime; they are not fields: the mask of positive
+    values (1 byte per value), the positive values, their logs and the
+    powers ``p ** x`` of the last exponent taken (8 bytes per positive
+    value each), the :class:`ProfileStats` and three numbers for the
+    bracket. That is at most 25 bytes per value, about 220 KB for an
+    annual hourly profile. Only the kept powers change after they are
+    built: they are replaced, never written to, by a call at another
+    exponent, so threads may share a Profile.
     """
 
     values: np.ndarray
@@ -160,9 +169,16 @@ class Profile:
         return self.values.size
 
     @functools.cached_property
+    def _mask(self) -> np.ndarray:
+        """``values > 0.0``: where the terms of S(x) sit in :attr:`values`."""
+        mask = self.values > 0.0
+        mask.setflags(write=False)
+        return mask
+
+    @functools.cached_property
     def _positive(self) -> np.ndarray:
         """The values greater than 0, in input order: the terms of S(x)."""
-        pos = self.values[self.values > 0.0]
+        pos = self.values[self._mask]
         pos.setflags(write=False)
         return pos
 
@@ -182,6 +198,26 @@ class Profile:
         if inner.size == 0:
             return (0, math.nan, math.nan)
         return (inner.size, float(inner.mean()), float(inner.max()))
+
+    @functools.cached_property
+    def _stats(self) -> ProfileStats:
+        """The counts and the mean that :func:`profile_stats` returns."""
+        v, pos = self.values, self._positive
+        m = int(v.size)
+        n = int(np.count_nonzero(pos == 1.0))
+        return ProfileStats(m=m, r=int(pos.size), n=n, mean=float(v.sum() / m))
+
+    def _powers(self, x: float) -> np.ndarray:
+        """``_positive ** x`` for a float ``x``, kept, read-only, until a call
+        at another exponent replaces it. The key and the array are stored as
+        one tuple, so a thread reads a matching pair or computes its own."""
+        kept = self.__dict__.get("_last_powers")
+        if kept is not None and kept[0] == x:
+            return kept[1]
+        powers = self._positive ** x
+        powers.setflags(write=False)
+        self.__dict__["_last_powers"] = (x, powers)
+        return powers
 
 
 @dataclass(frozen=True)
@@ -244,11 +280,9 @@ def validate_profile(values) -> Profile:
 
 
 def profile_stats(p: Profile) -> ProfileStats:
-    """Count total, nonzero and exactly-one values, and the current mean."""
-    v, pos = p.values, p._positive
-    m = int(v.size)
-    n = int(np.count_nonzero(pos == 1.0))
-    return ProfileStats(m=m, r=int(pos.size), n=n, mean=float(v.sum() / m))
+    """Count total, nonzero and exactly-one values, and the current mean,
+    once per Profile, which keeps them."""
+    return p._stats
 
 
 def mean_power(p: Profile, x: float) -> float:
@@ -256,9 +290,10 @@ def mean_power(p: Profile, x: float) -> float:
 
     Division is by the total count m, zeros included, so the result lies
     in [0, r/m]. Underflow of tiny bases at large exponents rounds to 0,
-    which is the correct limit.
+    which is the correct limit. ``x`` is taken as ``float(x)``, and the
+    powers are kept on ``p`` for :func:`apply_exponent` at the same exponent.
     """
-    return float(np.sum(p._positive ** x) / p.values.size)
+    return float(np.sum(p._powers(float(x))) / p.values.size)
 
 
 # Each bracket end moves out by this many units of b + mu / ((mu - n/m) * |l_max|).
@@ -431,13 +466,18 @@ def apply_exponent(p, x: float) -> Profile:
     x = 0 included (not 0 ** 0 = 1), so the map is continuous in x and the
     mean of the result is S(x). Order and length are preserved and the
     result is again a valid profile: values stay within [0, 1] for any
-    x >= 0, ``inf`` included. A negative or NaN exponent raises ValueError.
+    x >= 0, ``inf`` included. The exponent is taken as ``float(x)``; a bool,
+    a value that is not a real number, and a negative or NaN exponent raise
+    ValueError. The powers are those of the last :func:`mean_power` at the
+    same exponent, when it was the last exponent ``p`` took.
     """
     if not isinstance(p, Profile):
         p = validate_profile(p)
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValueError(f"exponent must be a real number, got {x!r}")
+    x = float(x)
     if not x >= 0.0:  # also catches nan
         raise ValueError(f"exponent must be nonnegative, got {x!r}")
-    v = p.values
-    out = np.zeros_like(v)
-    out[v > 0.0] = p._positive ** x
+    out = np.zeros_like(p.values)
+    out[p._mask] = p._powers(x)
     return Profile(out)

@@ -1,6 +1,8 @@
 import dataclasses
 import gc
 import math
+import sys
+import threading
 import weakref
 from decimal import Decimal
 from fractions import Fraction
@@ -139,17 +141,19 @@ def test_profile_holds_float64_only(values) -> None:
 
 
 def test_profile_fields_are_just_values() -> None:
-    # The positive values and their logs are cached on first use, not
-    # fields: Profile stays frozen and compares by identity (its dtype check
-    # is test_profile_holds_float64_only's). A fit caches nothing else.
+    # The mask, the positive values, their logs, the stats and the last
+    # powers are cached on first use, not fields: Profile stays frozen and
+    # compares by identity (its dtype check is
+    # test_profile_holds_float64_only's). A fit caches nothing else.
     p = validate_profile([0.0, 0.5, 1.0])
     fitted = apply_exponent(p, find_solution(p, 0.4).exponent)
-    fit_caches = {"values", "_positive", "_log_positive", "_inner_logs"}
+    fit_caches = {"values", "_mask", "_positive", "_log_positive", "_inner_logs", "_stats", "_last_powers"}
     assert set(vars(p)) <= fit_caches and set(vars(fitted)) <= fit_caches
     assert [f.name for f in dataclasses.fields(Profile)] == ["values"]
     assert p == p and p != validate_profile([0.0, 0.5, 1.0])
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.values = np.zeros(3)
+    assert not p._mask.flags.writeable
     assert not p._positive.flags.writeable
     assert not p._log_positive.flags.writeable
     assert p._inner_logs == (1, math.log(0.5), math.log(0.5))
@@ -676,6 +680,67 @@ def test_apply_exponent_rejects_nan_but_takes_inf() -> None:
     with pytest.raises(ValueError):
         apply_exponent(p, math.nan)  # would give [0, nan, 1]
     np.testing.assert_array_equal(apply_exponent(p, math.inf).values, [0.0, 0.0, 1.0])
+
+
+def test_an_exponent_is_taken_as_its_float() -> None:
+    # A Fraction went through numpy's object path (libm pow): 49 of these
+    # 1000 fitted values and the mean's last digit differed from those at
+    # its float. Kept powers matched on Fraction(1, 2) == 0.5 would also
+    # hand back the bits of whichever of the two came first.
+    v = np.random.default_rng(0).uniform(0, 1, 1000)
+    p = validate_profile(v)
+    for x in (Fraction(17, 10), Fraction(1, 2), 0.5, np.float32(0.25), 3):
+        assert mean_power(p, x) == float(np.sum(v ** float(x)) / v.size)
+        expected = np.where(v > 0.0, v ** float(x), 0.0)
+        assert apply_exponent(p, x).values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "x", [True, False, "2", None, Decimal("2"), 2j], ids=["true", "false", "str", "none", "decimal", "complex"]
+)
+def test_apply_exponent_refuses_a_value_that_is_not_a_real_number(x) -> None:
+    # True and False were taken as 1 and 0; "2", None and 2j raised TypeError.
+    with pytest.raises(ValueError, match="exponent must be a real number"):
+        apply_exponent([0.5], x)
+
+
+def test_threads_sharing_a_profile_fit_as_one_thread_does() -> None:
+    # The powers a Profile keeps change with every exponent it takes, so
+    # four threads fitting one Profile at different targets must still each
+    # get the fit and the fitted bytes of a serial run.
+    rng = np.random.default_rng(11)
+    values = np.concatenate([np.round(rng.uniform(0, 1, 3000) ** 2, 3), np.zeros(60), np.ones(30)])
+    targets = [[0.05, 0.3, 0.6], [0.1, 0.35, 0.99], [0.2, 0.4, 0.5], [0.25, 0.45, 0.001]]
+
+    def fit(p, mu):
+        out = find_solution(p, mu)
+        return out, apply_exponent(p, out.exponent).values.tobytes()
+
+    serial = {mu: fit(validate_profile(values), mu) for row in targets for mu in row}
+    shared = validate_profile(values)
+    results = [[] for _ in targets]
+    barrier = threading.Barrier(len(targets), timeout=30)
+
+    def work(i):
+        barrier.wait()
+        for _ in range(40):
+            results[i] += [(mu, fit(shared, mu)) for mu in targets[i]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(targets))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert {serial[mu][0].status for mu in serial} == set(FitStatus)
+    for i, row in enumerate(results):
+        assert len(row) == 40 * len(targets[i])
+        assert all(got == serial[mu] for mu, got in row)
 
 
 # ---------------------------------------------------------------------------

@@ -510,7 +510,7 @@ def test_writing_a_pair_leaves_its_profiles_with_the_fits_caches_only(tmp_path) 
     fitted = apply_exponent(original, find_solution(original, 0.3).exponent)
     pair = FittedPair(original, fitted)
     _write_outputs(tmp_path / "out", ["t"] * 500, pair)
-    fit_caches = {"values", "_positive", "_log_positive", "_inner_logs"}
+    fit_caches = {"values", "_mask", "_positive", "_log_positive", "_inner_logs", "_stats", "_last_powers"}
     assert set(vars(original)) <= fit_caches and set(vars(fitted)) <= fit_caches
     assert [f.name for f in dataclasses.fields(FittedPair)] == ["original", "fitted"]
     assert pair != FittedPair(original, fitted)  # compared by identity

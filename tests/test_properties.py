@@ -149,6 +149,39 @@ def test_fit_status_is_the_classified_one(values, mu) -> None:
         assert out.status is FitStatus.EXACT
 
 
+# Profiles of few distinct values, so that values repeat, with both zeros,
+# 1, subnormals and a random value; exponents at the edges of pow and random.
+kept_power_values = st.lists(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.5e-308, 1e-300, 0.5, 1 - 2**-53, 1.0])
+    | st.floats(min_value=0.0, max_value=1.0),
+    min_size=1,
+    max_size=40,
+)
+kept_power_calls = st.lists(
+    st.tuples(
+        st.sampled_from(["mean_power", "apply_exponent"]),
+        st.sampled_from([0.0, 5e-324, 0.5, 1.0, 1000.0, math.inf])
+        | st.floats(min_value=0.0, max_value=2000.0),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(kept_power_values, kept_power_calls)
+def test_kept_powers_match_a_fresh_pow(values, calls) -> None:
+    v = np.array(values)
+    p = validate_profile(values)
+    for name, x in calls:
+        if name == "mean_power":
+            assert mean_power(p, x) == float(np.sum(v[v > 0.0] ** x) / v.size)
+        else:
+            expected = np.where(v > 0.0, v ** x, 0.0)
+            assert apply_exponent(p, x).values.tobytes() == expected.tobytes()
+        kept_x, kept = p.__dict__["_last_powers"]
+        assert kept_x == x and not kept.flags.writeable
+
+
 @given(
     edge_values,
     exponents,

@@ -17,13 +17,19 @@ rounding ends their progress. Targets outside the reachable band
 (n/m, r/m] are clamped to x = 0 or to a fixed exponent of 1000, and
 :func:`find_solution` records which case applied as a :class:`FitStatus`.
 
-The fit's operations read the mask of positive values, those values, their
-logs and the profile's :class:`ProfileStats` from the :class:`Profile`,
-which builds each on first use and keeps it, so a refit of the same profile
-rebuilds none of them. The Profile also keeps the powers ``p ** x`` of the
-last exponent that :func:`mean_power` or :func:`apply_exponent` took, so
-:func:`apply_exponent` at the exponent a fit returned reuses the powers of
-the fit's last S(x), and a fit plus its application pays for one pow.
+The fit's operations read the profile's value table (one ``np.unique`` of
+its values, which the CSV writers reuse), the mask of positive values, the
+bases of S(x), their logs and the profile's :class:`ProfileStats` from the
+:class:`Profile`, which builds each on first use and keeps it, so a refit of
+the same profile rebuilds none of them. Where few of the positive values are
+distinct, as in a series rounded to 3 decimals, the bases are the distinct
+positive values: each exp and pow of a fit runs once per distinct value,
+and its results are gathered to input order, so every sum, and so every
+result, is the same to the bit as one term per value would give. The
+Profile also keeps the powers ``p ** x`` of the last exponent that
+:func:`mean_power` or :func:`apply_exponent` took, so :func:`apply_exponent`
+at the exponent a fit returned reuses the powers of the fit's last S(x),
+and a fit plus its application pays for one pow.
 """
 
 from __future__ import annotations
@@ -118,6 +124,19 @@ class MaxIterationsExceededError(ProfileFitError):
 # Domain types
 # ---------------------------------------------------------------------------
 
+# S(x) is evaluated once per distinct positive value, then gathered to input
+# order, when there are at most this many distinct positive values per
+# positive value; otherwise once per positive value. A gather costs about
+# what an exp costs where numpy's exp is SIMD (0.7 ns a value on an AVX-512
+# Xeon), but a pow three times that, and ten times that at exponent 1000.
+# There, with numpy 2.4 and 8760 values, a fit plus apply_exponent per target
+# on the distinct values took, against one per value, 0.83x at 1% distinct,
+# 1.00x at 30%, 1.03x at 40% and 1.14x at 50% for targets in the band only,
+# and 0.75x at 30% and 0.87x at 48% for targets across (0, 1) on a profile
+# with zeros and ones, whose clamped fits pow at exponent 1000.
+_DISTINCT_SHARE = 1 / 3
+
+
 @dataclass(frozen=True, eq=False)
 class Profile:
     """A validated per-unit availability series.
@@ -136,14 +155,23 @@ class Profile:
     :class:`ValueOutOfRangeError`.
 
     The fit's derived data are built on first use and kept, read-only, for
-    the Profile's lifetime; they are not fields: the mask of positive
-    values (1 byte per value), the positive values, their logs and the
-    powers ``p ** x`` of the last exponent taken (8 bytes per positive
-    value each), the :class:`ProfileStats` and three numbers for the
-    bracket. That is at most 25 bytes per value, about 220 KB for an
-    annual hourly profile. Only the kept powers change after they are
-    built: they are replaced, never written to, by a call at another
-    exponent, so threads may share a Profile.
+    the Profile's lifetime; they are not fields. One is the value table
+    ``(distinct, inverse, counts)`` of one ``np.unique`` over the values'
+    bits, 8 bytes per value plus 16 per distinct value, which the CSV
+    writers of :class:`~profilefit.profile_io.FittedPair` reuse. Where the
+    positive values repeat (see :data:`_DISTINCT_SHARE`), S(x) is
+    evaluated once per distinct positive value and the terms are gathered to
+    input order through an index of 8 bytes per positive value. The others
+    are the mask of positive values (1 byte per value), the bases of S(x)
+    (the distinct positive values, or every positive value), their logs and
+    the powers ``p ** x`` of the last exponent taken (8 bytes per base
+    each), the logs in input order (8 bytes per positive value, none more
+    when the bases are every positive value), the :class:`ProfileStats`
+    and three numbers for the bracket. That is at most 49 bytes per value, about
+    430 KB for an annual hourly profile whose values are all distinct, and
+    180-240 KB for one at 3 decimals. Only the kept powers change after
+    they are built: they are replaced, never written to, by a call at
+    another exponent, so threads may share a Profile.
     """
 
     values: np.ndarray
@@ -156,8 +184,9 @@ class Profile:
             raise ValueError(f"expected a 1-D sequence of values, got shape {self.values.shape}")
         if self.values.size == 0:
             raise EmptyProfileError()
-        ok = (self.values >= 0.0) & (self.values <= 1.0)  # False for NaN and +-inf too
-        if not ok.all():
+        # min and max are NaN if a value is, and so fail; -0.0 >= 0.0 holds.
+        if not (self.values.min() >= 0.0 and self.values.max() <= 1.0):
+            ok = (self.values >= 0.0) & (self.values <= 1.0)  # False for NaN and +-inf too
             idx = int(np.argmin(ok))
             value = float(self.values[idx])
             if not math.isfinite(value):
@@ -169,6 +198,20 @@ class Profile:
         return self.values.size
 
     @functools.cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(distinct, inverse, counts)``: each distinct bit pattern of the
+        values once, as float64 in uint64 order (``0.0`` first, then the
+        positive values ascending, then ``-0.0``), with ``values ==
+        distinct[inverse]`` bit for bit and each pattern's count."""
+        keys, inverse, counts = np.unique(
+            self.values.view(np.uint64), return_inverse=True, return_counts=True
+        )
+        table = (keys.view(np.float64), inverse, counts)
+        for array in table:
+            array.setflags(write=False)
+        return table
+
+    @functools.cached_property
     def _mask(self) -> np.ndarray:
         """``values > 0.0``: where the terms of S(x) sit in :attr:`values`."""
         mask = self.values > 0.0
@@ -176,16 +219,39 @@ class Profile:
         return mask
 
     @functools.cached_property
-    def _positive(self) -> np.ndarray:
-        """The values greater than 0, in input order: the terms of S(x)."""
-        pos = self.values[self._mask]
-        pos.setflags(write=False)
-        return pos
+    def _bases(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The bases of S(x) and the index that gathers one term per base to
+        one per positive value, in input order: the distinct positive values
+        and that index where they are few enough (:data:`_DISTINCT_SHARE`),
+        else the positive values themselves in input order and None."""
+        distinct, inverse, counts = self._table
+        positive = distinct > 0.0
+        bases = distinct[positive]
+        if bases.size > _DISTINCT_SHARE * counts[positive].sum():
+            bases, index = self.values[self._mask], None
+        else:
+            # The positive keys are contiguous, from the first one on.
+            index = inverse[self._mask] - np.argmax(positive)
+            index.setflags(write=False)
+        bases.setflags(write=False)
+        return bases, index
+
+    def _in_input_order(self, terms: np.ndarray) -> np.ndarray:
+        """``terms``, one per base of S(x), as one per positive value in input order."""
+        index = self._bases[1]
+        return terms if index is None else terms.take(index)
+
+    @functools.cached_property
+    def _log_bases(self) -> np.ndarray:
+        """``np.log`` of the bases of S(x); 0 exactly where a base is 1."""
+        lb = np.log(self._bases[0])
+        lb.setflags(write=False)
+        return lb
 
     @functools.cached_property
     def _log_positive(self) -> np.ndarray:
-        """``np.log`` of :attr:`_positive`; 0 exactly where a value is 1."""
-        lp = np.log(self._positive)
+        """The log of each positive value, in input order."""
+        lp = self._in_input_order(self._log_bases)
         lp.setflags(write=False)
         return lp
 
@@ -202,19 +268,21 @@ class Profile:
     @functools.cached_property
     def _stats(self) -> ProfileStats:
         """The counts and the mean that :func:`profile_stats` returns."""
-        v, pos = self.values, self._positive
+        v = self.values
         m = int(v.size)
-        n = int(np.count_nonzero(pos == 1.0))
-        return ProfileStats(m=m, r=int(pos.size), n=n, mean=float(v.sum() / m))
+        r = int(np.count_nonzero(self._mask))
+        n = int(np.count_nonzero(v == 1.0))
+        return ProfileStats(m=m, r=r, n=n, mean=float(v.sum() / m))
 
     def _powers(self, x: float) -> np.ndarray:
-        """``_positive ** x`` for a float ``x``, kept, read-only, until a call
-        at another exponent replaces it. The key and the array are stored as
-        one tuple, so a thread reads a matching pair or computes its own."""
+        """``bases ** x`` for a float ``x``, one per base of S(x), kept,
+        read-only, until a call at another exponent replaces it. The key and
+        the array are stored as one tuple, so a thread reads a matching pair
+        or computes its own."""
         kept = self.__dict__.get("_last_powers")
         if kept is not None and kept[0] == x:
             return kept[1]
-        powers = self._positive ** x
+        powers = self._bases[0] ** x
         powers.setflags(write=False)
         self.__dict__["_last_powers"] = (x, powers)
         return powers
@@ -293,7 +361,7 @@ def mean_power(p: Profile, x: float) -> float:
     which is the correct limit. ``x`` is taken as ``float(x)``, and the
     powers are kept on ``p`` for :func:`apply_exponent` at the same exponent.
     """
-    return float(np.sum(p._powers(float(x))) / p.values.size)
+    return float(np.sum(p._in_input_order(p._powers(float(x)))) / p.values.size)
 
 
 # Each bracket end moves out by this many units of b + mu / ((mu - n/m) * |l_max|).
@@ -319,7 +387,7 @@ def find_search_interval(p: Profile, mu: float) -> tuple[float, float]:
     constant profile. mu = r/m gives (0.0, 0.0), and a target outside the
     band (n/m, r/m] raises ValueError.
     """
-    m, r = p.values.size, p._positive.size
+    m, r = p.values.size, p._stats.r
     k, l_mean, l_max = p._inner_logs
     asymptote, reachable = (r - k) / m, r / m
     if not asymptote < mu <= reachable:
@@ -335,7 +403,7 @@ def find_search_interval(p: Profile, mu: float) -> tuple[float, float]:
 
 def _mean_and_slope(p: Profile, x: float) -> tuple[float, float]:
     """S(x) and S'(x) from one ``e = exp(x * log p)`` over the profile's cached logs."""
-    e = np.exp(x * p._log_positive)
+    e = p._in_input_order(np.exp(x * p._log_bases))
     m = p.values.size
     return float(e.sum() / m), float(e.dot(p._log_positive) / m)
 
@@ -347,7 +415,7 @@ def _log_slope(p: Profile, x: float, s: float) -> float:
     subnormal of a few bits or underflows to 0, but this keeps full
     precision. It is 0 where S is flat.
     """
-    e = np.exp(x * p._log_positive - math.log(s))
+    e = p._in_input_order(np.exp(x * p._log_bases - math.log(s)))
     return float(e.dot(p._log_positive) / e.sum())
 
 
@@ -422,8 +490,10 @@ def bisect_root(
         turned = turned or not step > x  # also catches nan
         if step == x or turned and not abs(step - x) < abs(x - prev):
             near = (x, max(step, a), prev, math.nextafter(x, a), math.nextafter(x, b))
-            root = min(near, key=lambda t: abs(mean_power(p, t) - mu))
-            return (root, iteration, mean_power(p, root))
+            # One S per distinct candidate; a tie goes to the first, as in min.
+            means = {t: mean_power(p, t) for t in dict.fromkeys(near)}
+            root = min(means, key=lambda t: abs(means[t] - mu))
+            return (root, iteration, means[root])
         prev, x = x, max(step, a)
         s, slope = _mean_and_slope(p, x)
     raise MaxIterationsExceededError(_MAX_ITER)
@@ -478,6 +548,13 @@ def apply_exponent(p, x: float) -> Profile:
     x = float(x)
     if not x >= 0.0:  # also catches nan
         raise ValueError(f"exponent must be nonnegative, got {x!r}")
-    out = np.zeros_like(p.values)
-    out[p._mask] = p._powers(x)
+    powers = p._powers(x)
+    if p._bases[1] is None:
+        out = np.zeros_like(p.values)
+        out[p._mask] = powers
+    else:  # one power per distinct value, 0 for both zeros, gathered
+        distinct, inverse, _ = p._table
+        image = np.zeros_like(distinct)
+        image[distinct > 0.0] = powers
+        out = image.take(inverse)
     return Profile(out)

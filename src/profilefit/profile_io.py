@@ -107,13 +107,15 @@ def _check_delimiter(delimiter: str) -> None:
 class FittedPair:
     """A Profile and the Profile fitted from it, as both CSV writers take them.
 
-    The pair holds the writers' value tables, one per Profile, built on
-    first use and dropped with the pair. A table ``(distinct, inverse,
-    counts)`` holds each distinct bit pattern of the values once, as float64
-    in uint64 order (``-0.0`` apart from ``0.0``), with ``values ==
-    distinct[inverse]`` bit for bit and each pattern's count; the ``repr``
-    text of its distinct values sits beside it. Both cost about 150 KB for
-    an annual profile at 3 decimals, 870 KB when all 8760 values are distinct.
+    The writers read one value table per Profile. A table ``(distinct,
+    inverse, counts)`` holds each distinct bit pattern of the values once,
+    as float64 in uint64 order (``-0.0`` apart from ``0.0``), with ``values
+    == distinct[inverse]`` bit for bit and each pattern's count. The
+    original's is the one its fit built and keeps
+    (:attr:`~profilefit.fitcore.Profile._table`); the fitted one's, and the
+    ``repr`` text of both profiles' distinct values, are built on first use
+    and dropped with the pair. Table and text cost about 150 KB for an
+    annual profile at 3 decimals, 870 KB when all 8760 values are distinct.
     """
 
     original: Profile
@@ -123,14 +125,15 @@ class FittedPair:
     def _tables(self):
         """``(table, text)`` of ``original``, then of ``fitted``, whose table
         comes from the original's by :func:`_image_table` or else ``np.unique``."""
-        unique = functools.partial(np.unique, return_inverse=True, return_counts=True)
-        original = unique(self.original.values.view(np.uint64))
+        original = self.original._table
         fitted = _image_table(original, self.fitted.values)
         if fitted is None:
-            fitted = unique(self.fitted.values.view(np.uint64))
-        tables = [(keys.view(np.float64), i, c) for keys, i, c in (original, fitted)]
+            bits = self.fitted.values.view(np.uint64)
+            fitted = np.unique(bits, return_inverse=True, return_counts=True)
+        keys, inverse, counts = fitted
+        tables = [original, (keys.view(np.float64), inverse, counts)]
         texts = [np.array(list(map(repr, table[0].tolist())), dtype=object) for table in tables]
-        for array in [*tables[0], *tables[1], *texts]:
+        for array in [*tables[1], *texts]:
             array.setflags(write=False)
         return tuple(zip(tables, texts))
 

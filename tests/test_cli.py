@@ -248,6 +248,28 @@ def test_inputs_are_expanded_once_per_run(tmp_path, monkeypatch) -> None:
     assert len(calls) == 1
 
 
+def test_each_input_is_sorted_once_for_the_fit_and_the_writers(tmp_path, monkeypatch) -> None:
+    # The fit builds the input's value table with np.unique, and both
+    # writers reuse it: one np.unique over an input's m values per input.
+    sizes = {500: [], 700: []}
+    for m in sizes:
+        values = np.round(np.random.default_rng(m).uniform(0.0, 1.0, m), 2)
+        write_profile_csv(tmp_path / f"p{m}.csv", values)
+    unique = np.unique
+
+    def counting(a, *args, **kwargs):
+        if a.size in sizes:
+            sizes[a.size].append(a.dtype)
+        return unique(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting)
+    out_dir = str(tmp_path / "out")
+    args = ["-i", str(tmp_path / "p*.csv"), "-t", "0.4", "--plot-data", "-j", "1", "-o", out_dir]
+    code = main(args)
+    assert code == EXIT_OK
+    assert sizes == {500: [np.uint64], 700: [np.uint64]}
+
+
 def test_resolve_targets_broadcast(tmp_path) -> None:
     paths = [str(tmp_path / f"f{i}.csv") for i in range(3)]
     config = CliConfig(inputs=paths, target=0.6)

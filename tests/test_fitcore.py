@@ -45,6 +45,9 @@ def test_validate_accepts_in_range_values() -> None:
     assert isinstance(p, Profile)
     assert len(p) == 3
     np.testing.assert_array_equal(p.values, [0.5, 1.0, 0.0])
+    # -0.0 >= 0.0: a negative zero is in range, alone or as the minimum.
+    assert Profile(np.array([-0.0])).values.tobytes() == np.array([-0.0]).tobytes()
+    assert len(validate_profile([0.5, -0.0, 0.0, 1.0])) == 4
 
 
 def test_validate_rejects_value_above_one() -> None:
@@ -80,12 +83,20 @@ def test_validate_rejects_nan_and_inf() -> None:
         ([math.nan, 1.5], NonFiniteValueError, 0),
         ([0.5, -math.inf, -0.5], NonFiniteValueError, 1),
         ([0.5, -0.5, math.inf], ValueOutOfRangeError, 1),
+        # A NaN after a value out of range: min and max are NaN, and the
+        # value out of range still comes first.
+        ([0.5, -0.5, 0.2, math.nan], ValueOutOfRangeError, 1),
+        ([0.5, 1.5, math.nan, -0.5], ValueOutOfRangeError, 1),
+        ([-0.0, 0.3, 2.0, math.nan, math.nan], ValueOutOfRangeError, 2),
     ],
-    ids=["range-then-nan", "nan-then-range", "inf-then-range", "range-then-inf"],
+    ids=[
+        "range-then-nan", "nan-then-range", "inf-then-range", "range-then-inf",
+        "below-then-nan", "above-then-nan-then-below", "neg-zero-above-then-nans",
+    ],
 )
 def test_validate_reports_the_first_offending_value(values, error, index) -> None:
-    # One mask finds the first value outside [0, 1] in input order, NaN and
-    # inf included; only then is its kind told apart.
+    # The first value outside [0, 1] in input order, NaN and inf included,
+    # is reported; only then is its kind told apart.
     with pytest.raises(error) as excinfo:
         validate_profile(values)
     assert excinfo.value.index == index
@@ -141,20 +152,23 @@ def test_profile_holds_float64_only(values) -> None:
 
 
 def test_profile_fields_are_just_values() -> None:
-    # The mask, the positive values, their logs, the stats and the last
-    # powers are cached on first use, not fields: Profile stays frozen and
+    # The value table, the mask, the bases of S(x), their logs, the stats
+    # and the last powers are cached on first use, not fields: Profile stays frozen and
     # compares by identity (its dtype check is
     # test_profile_holds_float64_only's). A fit caches nothing else.
     p = validate_profile([0.0, 0.5, 1.0])
     fitted = apply_exponent(p, find_solution(p, 0.4).exponent)
-    fit_caches = {"values", "_mask", "_positive", "_log_positive", "_inner_logs", "_stats", "_last_powers"}
+    fit_caches = {
+        "values", "_table", "_mask", "_bases", "_log_bases", "_log_positive", "_inner_logs",
+        "_stats", "_last_powers",
+    }
     assert set(vars(p)) <= fit_caches and set(vars(fitted)) <= fit_caches
     assert [f.name for f in dataclasses.fields(Profile)] == ["values"]
     assert p == p and p != validate_profile([0.0, 0.5, 1.0])
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.values = np.zeros(3)
     assert not p._mask.flags.writeable
-    assert not p._positive.flags.writeable
+    assert not p._bases[0].flags.writeable
     assert not p._log_positive.flags.writeable
     assert p._inner_logs == (1, math.log(0.5), math.log(0.5))
 
@@ -444,6 +458,29 @@ def test_bisect_ends_on_the_best_float_when_the_tolerance_cannot_be_met(values, 
     assert abs(achieved - mu) <= 1e-12 * mu
     for side in (-math.inf, math.inf):
         assert abs(achieved - mu) <= abs(mean_power(p, math.nextafter(x, side)) - mu)
+
+
+def test_the_rounding_end_pays_one_pow_per_distinct_candidate(monkeypatch) -> None:
+    # Where residual_tol cannot be met, the rounding end picks the best of
+    # five candidate exponents. It used to pow at each, repeats included, and
+    # then once more at the one it picked: 6 pows for this fit, not 5.
+    pows = []
+    powers = Profile._powers
+
+    def counting(self, x):
+        kept = self.__dict__.get("_last_powers")
+        if kept is None or kept[0] != x:
+            pows.append(x)
+        return powers(self, x)
+
+    monkeypatch.setattr(Profile, "_powers", counting)
+    p = validate_profile(np.random.default_rng(101).random(3))
+    out = find_solution(p, 1e-100, FitOptions(residual_tol=5e-324))
+    # The parent's (x, iterations, S), bit for bit.
+    assert out.exponent.hex() == "0x1.ecd2506403b0cp+11"
+    assert out.iterations == 2
+    assert out.achieved_mean.hex() == "0x1.bff2ee48e0554p-333"
+    assert len(pows) <= 5
 
 
 @pytest.mark.parametrize(

@@ -505,12 +505,15 @@ def test_each_profiles_text_is_built_once(tmp_path, monkeypatch) -> None:
 
 
 def test_writing_a_pair_leaves_its_profiles_with_the_fits_caches_only(tmp_path) -> None:
-    # The writers' tables and text live on the pair, not on a Profile.
+    # The writers' text and the fitted table live on the pair, not on a Profile.
     original = validate_profile(np.round(np.random.default_rng(5).uniform(0, 1, 500), 3))
     fitted = apply_exponent(original, find_solution(original, 0.3).exponent)
     pair = FittedPair(original, fitted)
     _write_outputs(tmp_path / "out", ["t"] * 500, pair)
-    fit_caches = {"values", "_mask", "_positive", "_log_positive", "_inner_logs", "_stats", "_last_powers"}
+    fit_caches = {
+        "values", "_table", "_mask", "_bases", "_log_bases", "_log_positive", "_inner_logs",
+        "_stats", "_last_powers",
+    }
     assert set(vars(original)) <= fit_caches and set(vars(fitted)) <= fit_caches
     assert [f.name for f in dataclasses.fields(FittedPair)] == ["original", "fitted"]
     assert pair != FittedPair(original, fitted)  # compared by identity

@@ -8,6 +8,7 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from profilefit import fitcore
 from profilefit.fitcore import (
     FitOptions,
     FitStatus,
@@ -180,6 +181,57 @@ def test_kept_powers_match_a_fresh_pow(values, calls) -> None:
             assert apply_exponent(p, x).values.tobytes() == expected.tobytes()
         kept_x, kept = p.__dict__["_last_powers"]
         assert kept_x == x and not kept.flags.writeable
+
+
+@st.composite
+def repeated_or_distinct_values(draw):
+    """Up to 300 values, so that the tails of numpy's vector loops are run:
+    draws with repeats from a pool of edge and random values, where the fit
+    evaluates S once per distinct value, or the pool itself in random order,
+    where it evaluates S once per value."""
+    pool = draw(
+        st.lists(
+            st.sampled_from([0.0, -0.0, 5e-324, 2.5e-308, 1e-300, 0.001, 0.5, 1 - 2**-53, 1.0])
+            | st.floats(min_value=0.0, max_value=1.0),
+            min_size=1,
+            max_size=300,
+            unique=True,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.permutation(np.array(pool))
+    return rng.choice(np.array(pool), draw(st.integers(1, 300)))
+
+
+def _bits(*floats) -> bytes:
+    return np.array(floats, dtype=np.float64).tobytes()
+
+
+@settings(deadline=None)
+@given(
+    repeated_or_distinct_values(),
+    st.sampled_from([0.0, 5e-324, 0.5, 1.0, 1000.0]) | st.floats(min_value=0.0, max_value=2000.0),
+)
+def test_terms_of_distinct_values_match_one_term_per_value(v, x) -> None:
+    p = Profile(v)
+    pos = v[v > 0.0]
+    distinct = np.unique(pos.view(np.uint64)).size
+    assert (p._bases[1] is not None) == (distinct <= fitcore._DISTINCT_SHARE * pos.size)
+    # S, S' and S'/S from exp(x * log p), one term per positive value.
+    lp = np.log(pos)
+    e = np.exp(x * lp)
+    s = float(e.sum() / v.size)
+    assert _bits(*fitcore._mean_and_slope(p, x)) == _bits(s, float(e.dot(lp) / v.size))
+    if s > 0.0:
+        e = np.exp(x * lp - math.log(s))
+        assert _bits(fitcore._log_slope(p, x, s)) == _bits(float(e.dot(lp) / e.sum()))
+    # The kept powers, gathered, and the fitted values, at x and at inf.
+    for y in (x, math.inf):
+        assert _bits(mean_power(p, y)) == _bits(float(np.sum(pos**y) / v.size))
+        _, kept = p.__dict__["_last_powers"]
+        assert p._in_input_order(kept).tobytes() == (pos**y).tobytes()
+        assert apply_exponent(p, y).values.tobytes() == np.where(v > 0.0, v**y, 0.0).tobytes()
 
 
 @given(

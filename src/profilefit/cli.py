@@ -34,6 +34,7 @@ from .fitcore import (
 from .profile_io import (
     CsvLayout,
     FittedPair,
+    _temp_dir_for,
     read_profile,
     write_plot_data,
     write_profile,
@@ -195,7 +196,10 @@ def _fit_one(path: str, mu: float, config: CliConfig) -> _FileResult:
 
 
 def _fit_chunk(paths: list[str], mus: list[float], config: CliConfig) -> list[_FileResult]:
-    return [_fit_one(p, mu, config) for p, mu in zip(paths, mus)]
+    # One private directory under the out dir holds the chunk's temp files,
+    # so pool workers do not create and rename them in one shared directory.
+    with _temp_dir_for(config.out_dir):
+        return [_fit_one(p, mu, config) for p, mu in zip(paths, mus)]
 
 
 def _fit_pooled(paths: list[str], mus: list[float], config: CliConfig, jobs: int):
@@ -249,8 +253,8 @@ def run_fit(config: CliConfig) -> int:
     suffixes = ["_fitted.csv", "_report.json"]
     if config.emit_plot_data:
         suffixes += ["_chronological.csv", "_sorted.csv"]
-    # Each output is first written to its sibling <name>.tmp, then renamed.
-    suffixes = [suffix + tmp for suffix in suffixes for tmp in ("", ".tmp")]
+    # Temp files are written in a new private directory under the out dir,
+    # which holds no input, so only the outputs themselves need checking.
     # Each directory resolved once, so an --out-dir that links to an input's
     # is caught; an input that is itself a link is resolved whole.
     real = {d: os.path.realpath(d) for d in {config.out_dir, *map(os.path.dirname, paths)}}

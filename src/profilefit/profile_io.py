@@ -9,10 +9,13 @@ the chronological series and the descending-sorted duration curves.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import csv
 import functools
 import json
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -144,7 +147,12 @@ def _image_table(table, values: np.ndarray):
     length; None unless each entry of ``table`` maps to one bit pattern of
     ``values``, as under :func:`~profilefit.fitcore.apply_exponent`. The
     entries' images, scattered from ``values`` through the table's inverse,
-    are checked bit for bit; the keys are the distinct images."""
+    are checked bit for bit; the keys are the distinct images. Where the
+    images strictly increase, as ``p ** x`` keeps the positive keys for most
+    x > 0, they are the keys, and ``table``'s inverse and counts are reused
+    without a sort. Otherwise ``np.unique`` sorts and merges them: images
+    tie (both zeros, x = 0 or inf, underflow), or ``-0.0``, the last key,
+    maps to ``0.0``."""
     _, inverse, counts = table
     bits = values.view(np.uint64)
     if inverse.size != bits.size:
@@ -153,6 +161,8 @@ def _image_table(table, values: np.ndarray):
     image[inverse] = bits
     if not np.array_equal(image[inverse], bits):
         return None
+    if (image[1:] > image[:-1]).all():  # in order and distinct: np.unique's keys
+        return image, inverse, counts
     keys, image_inverse = np.unique(image, return_inverse=True)
     summed = np.bincount(image_inverse, weights=counts, minlength=keys.size)
     return keys, image_inverse[inverse], summed.astype(counts.dtype)
@@ -430,23 +440,66 @@ def _descending_order(table) -> np.ndarray:
     return take
 
 
+# Per context, so per thread: ``[out_dir, its private directory or None]``
+# while a :func:`_temp_dir_for` block runs, else None.
+_TEMP_DIR = contextvars.ContextVar("_TEMP_DIR", default=None)
+
+
+@contextlib.contextmanager
+def _temp_dir_for(out_dir):
+    """Within the block, and in this context only, writes to a path in
+    ``out_dir`` keep their temp files in one private directory under it.
+
+    The directory is made by the first such write, so a block that writes
+    nothing makes none, and one that cannot be made fails that write only.
+    On exit it is removed with anything left in it, on error too.
+    """
+    active = [Path(out_dir), None]
+    token = _TEMP_DIR.set(active)
+    try:
+        yield
+    finally:
+        _TEMP_DIR.reset(token)
+        if active[1] is not None:
+            shutil.rmtree(active[1], ignore_errors=True)
+
+
 @contextlib.contextmanager
 def _replacing(path):
-    """Open a sibling ``<name>.tmp`` for writing and move it onto ``path``.
+    """Open a temp file for writing and move it onto ``path``.
 
-    Readers of ``path`` see the old file or the whole new one, never a
+    The temp file has ``path``'s name, in the private directory of a
+    :func:`_temp_dir_for` block over ``path``'s directory; outside such a
+    block, the write runs in a block of its own, whose directory lives for
+    this file only. Either way the directory is new (``mkdtemp``) and on
+    ``path``'s filesystem, so the temp file never replaces another file,
+    and readers of ``path`` see the old file or the whole new one, never a
     partial write. A write that raises leaves ``path`` as it was and
-    removes the temp file.
+    removes the temp file; an OSError then names ``path`` alone.
     """
-    tmp = os.fspath(path) + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+    parent = Path(path).parent
+    active = _TEMP_DIR.get()
+    if active is None or active[0] != parent:
+        with _temp_dir_for(parent), _replacing(path) as fh:
             yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+        return
+    try:
+        if active[1] is None:
+            active[1] = tempfile.mkdtemp(prefix=".profilefit-", dir=parent)
+        tmp = os.path.join(active[1], os.path.basename(path))
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.errno is None:
+            raise
+        # Name the output: the temp directory's name differs from run to run.
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
 
 
 def _write_csv(path, header: list[str], head, columns, delimiter: str = ",") -> None:

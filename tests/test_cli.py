@@ -1,7 +1,9 @@
+import importlib
 import json
 import math
 import os
 import sys
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -157,10 +159,6 @@ def test_stem_collision_is_rejected(tmp_path) -> None:
         ("x_fitted.csv", []),
         ("x_report.json", []),
         ("x_sorted.csv", ["--plot-data"]),
-        # Each output is written to <name>.tmp first, which would destroy it.
-        ("x_fitted.csv.tmp", []),
-        ("x_report.json.tmp", []),
-        ("x_sorted.csv.tmp", ["--plot-data"]),
     ],
 )
 def test_output_that_would_overwrite_an_input_is_refused(
@@ -177,6 +175,74 @@ def test_output_that_would_overwrite_an_input_is_refused(
     assert sorted(p.name for p in (tmp_path / "d").iterdir()) == sorted(["x.csv", victim])
     err = capsys.readouterr().err
     assert "'d/x.csv'" in err and f"'./d/{victim}'" in err
+
+
+@pytest.mark.parametrize(
+    "name, flags",
+    [
+        ("x_fitted.csv.tmp", []),
+        ("x_report.json.tmp", []),
+        ("x_sorted.csv.tmp", ["--plot-data"]),
+    ],
+)
+def test_input_named_like_an_outputs_old_temp_file_is_fitted_and_kept(
+    tmp_path, monkeypatch, name, flags
+) -> None:
+    # Temp files are written in a new private directory, never as a sibling
+    # <name>.tmp, so such an input is safe in the out dir.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    write_profile_csv(tmp_path / "d" / "x.csv", [0.2, 0.5])
+    before = write_profile_csv(tmp_path / "d" / name, [0.3, 0.6]).read_bytes()
+    code = main(["-i", "d/x.csv", "-i", f"./d/{name}", "-t", "0.5", "-o", "d", *flags])
+    assert code == EXIT_OK
+    assert (tmp_path / "d" / name).read_bytes() == before
+    suffixes = ["_fitted.csv", "_report.json"]
+    if flags:
+        suffixes += ["_chronological.csv", "_sorted.csv"]
+    outputs = [f"{stem}{suffix}" for stem in ["x", Path(name).stem] for suffix in suffixes]
+    assert sorted(p.name for p in (tmp_path / "d").iterdir()) == sorted(["x.csv", name, *outputs])
+
+
+def test_input_inside_a_stale_private_directory_is_kept(tmp_path) -> None:
+    # A killed run can leave a .profilefit-* directory; an input inside one is
+    # read like any other, and neither it nor its directory is touched.
+    out_dir = tmp_path / "out"
+    stale = out_dir / ".profilefit-stale"
+    stale.mkdir(parents=True)
+    before = write_profile_csv(stale / "x.csv", [0.2, 0.5, 0.8]).read_bytes()
+    clean = write_profile_csv(tmp_path / "x.csv", [0.2, 0.5, 0.8])
+    assert main(["-i", str(stale / "x.csv"), "-t", "0.4", "-o", str(out_dir), "-j", "1"]) == EXIT_OK
+    assert [p.name for p in stale.iterdir()] == ["x.csv"]
+    assert (stale / "x.csv").read_bytes() == before
+    assert main(["-i", str(clean), "-t", "0.4", "-o", str(tmp_path / "want"), "-j", "1"]) == EXIT_OK
+    assert (out_dir / "x_fitted.csv").read_bytes() == (tmp_path / "want" / "x_fitted.csv").read_bytes()
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        ".profilefit-stale", "x_fitted.csv", "x_report.json"
+    ]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_stale_private_directory_is_left_alone(tmp_path, jobs) -> None:
+    # It may belong to a run still going on, so a new run neither removes it
+    # nor writes into it, even where it holds the temp files of its outputs.
+    rng = np.random.default_rng(5)
+    argv = ["-t", "0.4", "--plot-data", "-j", str(jobs)]
+    for i in range(4):
+        argv += ["-i", str(write_profile_csv(tmp_path / f"f{i}.csv", rng.uniform(0, 1, 60)))]
+    out_dir, want = tmp_path / "out", tmp_path / "want"
+    stale = out_dir / ".profilefit-stale"
+    stale.mkdir(parents=True)
+    (stale / "f0_fitted.csv").write_text("half a file")
+    assert main(argv + ["-o", str(want)]) == EXIT_OK
+    assert main(argv + ["-o", str(out_dir)]) == EXIT_OK
+    assert [p.name for p in stale.iterdir()] == ["f0_fitted.csv"]
+    assert (stale / "f0_fitted.csv").read_text() == "half a file"
+    assert sorted(p.name for p in out_dir.iterdir()) == [".profilefit-stale"] + sorted(
+        p.name for p in want.iterdir()
+    )
+    for p in want.iterdir():
+        assert (out_dir / p.name).read_bytes() == p.read_bytes()
 
 
 @pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symlinks")
@@ -664,3 +730,111 @@ def test_default_jobs_counts_usable_cpus(monkeypatch) -> None:
     assert _default_jobs() == 64
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert _default_jobs() == 1
+
+
+def _private_dirs_and_tmp_files(directory: Path) -> list[str]:
+    return [
+        p.name for p in directory.rglob("*") if p.name.startswith(".profilefit-") or p.suffix == ".tmp"
+    ]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_batches_leave_no_private_directory_or_tmp_file(tmp_path, monkeypatch, capsys, jobs) -> None:
+    # The benchmark's seed-1 weekly batch: 600 files, 6 of them refused.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    inputs = importlib.import_module("inputs")
+    manifest = tmp_path / "manifest.csv"
+    inputs.small_batch(1, str(tmp_path / "in"), str(manifest))
+    out_dir = tmp_path / "out"
+    argv = ["-i", str(tmp_path / "in" / "*.csv"), "--manifest", str(manifest), "--allow-clamp"]
+    assert main(argv + ["--plot-data", "-o", str(out_dir), "-j", str(jobs)]) == EXIT_ERROR
+    assert capsys.readouterr().out.count(": error: ") == 6
+    assert len(list(out_dir.iterdir())) == 4 * 594
+    assert _private_dirs_and_tmp_files(out_dir) == []
+
+
+def test_failed_writes_mid_batch_leave_no_private_directory(tmp_path, monkeypatch, capsys) -> None:
+    paths = [write_profile_csv(tmp_path / f"p{i}.csv", [0.2, 0.5, 0.8]) for i in range(3)]
+    out_dir = tmp_path / "out"
+    argv = ["-t", "0.4", "-o", str(out_dir), "-j", "1"]
+    for p in paths:
+        argv += ["-i", str(p)]
+    real_replace = os.replace
+
+    def replace(src, dst):
+        # A rename fails while its temp file is written and open no more.
+        if Path(dst).name == "p1_report.json":
+            raise OSError(5, "I/O error")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    assert main(argv) == EXIT_ERROR
+    assert capsys.readouterr().out.splitlines()[1] == (
+        f"{paths[1]}: error: OSError: [Errno 5] I/O error: '{out_dir / 'p1_report.json'}'"
+    )
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "p0_fitted.csv", "p0_report.json", "p1_fitted.csv", "p2_fitted.csv", "p2_report.json"
+    ]
+
+    def interrupt(src, dst):
+        # Not an Exception, so it ends the batch: the directory still goes.
+        if Path(dst).name == "p1_fitted.csv":
+            raise KeyboardInterrupt
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv[:3] + [str(tmp_path / "stopped")] + argv[4:])
+    assert sorted(p.name for p in (tmp_path / "stopped").iterdir()) == [
+        "p0_fitted.csv", "p0_report.json"
+    ]
+
+
+def test_threads_running_batches_at_once_write_what_serial_runs_write(tmp_path, capsys) -> None:
+    # Each thread's chunk keeps its own private directory, even where two
+    # threads write into one out dir.
+    rng = np.random.default_rng(13)
+    paths = [str(write_profile_csv(tmp_path / f"s{i}.csv", rng.uniform(0, 1, 400))) for i in range(6)]
+
+    def config(out_dir, target):
+        return CliConfig(inputs=paths, target=target, out_dir=str(tmp_path / out_dir),
+                         emit_plot_data=True, jobs=1)
+
+    runs = [("a", 0.3), ("b", 0.6), ("c", 0.45), ("c", 0.45)]
+    for out_dir, target in runs[:2]:
+        assert run_fit(config(f"serial_{out_dir}", target)) == EXIT_OK
+    codes = []
+    barrier = threading.Barrier(len(runs), timeout=30)
+
+    def work(out_dir, target):
+        barrier.wait()
+        codes.append(run_fit(config(out_dir, target)))
+
+    threads = [threading.Thread(target=work, args=run) for run in runs]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert codes == [EXIT_OK] * len(runs)
+    for out_dir, want in [("a", "serial_a"), ("b", "serial_b")]:
+        got = {p.name: p.read_bytes() for p in (tmp_path / out_dir).iterdir()}
+        assert got == {p.name: p.read_bytes() for p in (tmp_path / want).iterdir()}
+    assert len(list((tmp_path / "c").iterdir())) == 4 * len(paths)
+    assert _private_dirs_and_tmp_files(tmp_path) == []
+
+
+def test_a_failed_write_names_the_output_whatever_the_jobs(tmp_path, capsys) -> None:
+    # Not its temp file, whose private directory has a new name each run.
+    paths = [str(write_profile_csv(tmp_path / f"p{i}.csv", [0.2, 0.5, 0.8])) for i in range(2)]
+    lines = []
+    for jobs in (1, 2):
+        out_dir = tmp_path / f"out{jobs}"
+        (out_dir / "p1_fitted.csv").mkdir(parents=True)  # a directory: the rename fails
+        argv = ["-i", paths[0], "-i", paths[1], "-t", "0.4", "-o", str(out_dir), "-j", str(jobs)]
+        assert main(argv) == EXIT_ERROR
+        lines.append(capsys.readouterr().out.replace(str(out_dir), "OUT").splitlines())
+        assert _private_dirs_and_tmp_files(out_dir) == []
+    assert lines[0] == lines[1]
+    assert lines[0][1].startswith(f"{paths[1]}: error: ")
+    assert lines[0][1].endswith(": 'OUT/p1_fitted.csv'")

@@ -143,7 +143,7 @@ def test_write_profile_length_mismatch(tmp_path) -> None:
             ["t0"],
             FittedPair(validate_profile([0.5, 0.6]), validate_profile([0.25, 0.3])),
         )
-    assert list(tmp_path.iterdir()) == []  # no output, no .tmp
+    assert list(tmp_path.iterdir()) == []  # no output, no private directory
 
 
 # With "e" the header's "fitted" and every value in e-notation are quoted;
@@ -241,7 +241,7 @@ def test_plot_data_length_mismatch(tmp_path) -> None:
             tmp_path / "plot",
             FittedPair(validate_profile([0.2, 0.8]), validate_profile([0.4])),
         )
-    assert list(tmp_path.iterdir()) == []  # no output, no .tmp
+    assert list(tmp_path.iterdir()) == []  # no output, no private directory
 
 
 def test_read_profile_full_year_layout(tmp_path) -> None:
@@ -281,7 +281,7 @@ def test_write_profile_refuses_a_delimiter_csv_reserves(tmp_path, delimiter) -> 
     p = validate_profile([0.5, 0.25])
     with pytest.raises(ValueError, match="delimiter"):
         write_profile(tmp_path / "out.csv", ["t0", "t1"], FittedPair(p, p), delimiter=delimiter)
-    assert list(tmp_path.iterdir()) == []  # no output, no .tmp
+    assert list(tmp_path.iterdir()) == []  # no output, no private directory
 
 
 # ---------------------------------------------------------------------------
@@ -739,3 +739,45 @@ def test_failed_writes_keep_the_previous_file(tmp_path) -> None:
         write_report(report_path, "in.csv", 0.4, dataclasses.replace(outcome, iterations=object()))
     assert report_path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out_report.json"]
+
+
+def test_temp_files_are_written_in_a_private_directory(tmp_path, monkeypatch) -> None:
+    renamed = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        renamed.append((os.path.dirname(src), os.listdir(tmp_path)))
+        if os.path.basename(dst) == "bad.json":
+            raise OSError(5, "I/O error")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    outcome = FitOutcome(1.2, 0.4, FitStatus.EXACT, 5, ProfileStats(m=3, r=3, n=0, mean=0.5))
+    # A direct call makes a directory for its one file, and removes it.
+    write_report(tmp_path / "a.json", "in.csv", 0.4, outcome)
+    write_report(tmp_path / "a.json", "in.csv", 0.4, outcome)
+    (first, seen), (second, _) = renamed
+    assert os.path.basename(first).startswith(".profilefit-") and first != second
+    assert os.path.dirname(first) == str(tmp_path) and sorted(seen) == [os.path.basename(first)]
+    assert os.listdir(tmp_path) == ["a.json"]
+
+    # In a block over the out dir, its writes share one directory, made by
+    # the first write; a write elsewhere makes its own.
+    (tmp_path / "sub").mkdir()
+    renamed.clear()
+    with profile_io._temp_dir_for(tmp_path):
+        assert sorted(os.listdir(tmp_path)) == ["a.json", "sub"]
+        write_report(tmp_path / "b.json", "in.csv", 0.4, outcome)
+        write_report(tmp_path / "sub" / "c.json", "in.csv", 0.4, outcome)
+        write_report(tmp_path / "d.json", "in.csv", 0.4, outcome)
+        shared = renamed[0][0]
+        assert [d for d, _ in renamed] == [shared, renamed[1][0], shared]
+        assert os.path.dirname(renamed[1][0]) == str(tmp_path / "sub")
+        assert os.path.isdir(shared) and os.listdir(tmp_path / "sub") == ["c.json"]
+        with pytest.raises(OSError):  # a failed write removes its temp file at once
+            write_report(tmp_path / "bad.json", "in.csv", 0.4, outcome)
+        assert os.listdir(shared) == []
+    assert sorted(os.listdir(tmp_path)) == ["a.json", "b.json", "d.json", "sub"]
+    with profile_io._temp_dir_for(tmp_path):  # writes nothing, makes nothing
+        pass
+    assert sorted(os.listdir(tmp_path)) == ["a.json", "b.json", "d.json", "sub"]

@@ -488,9 +488,15 @@ def _assert_same_table(got, want) -> None:
 @settings(deadline=None)
 @given(
     st.one_of(st.lists(pooled_values, min_size=1, max_size=300), distinct_values),
-    st.sampled_from([[], [-0.0, 0.0], [0.0, -0.0]]),
-    st.sampled_from([0.0, 0.3, 1.0, 7.0, 1000.0, math.inf]),
+    st.sampled_from([[], [-0.0], [-0.0, 0.0], [0.0, -0.0]]),
+    st.sampled_from([0.0, 5e-324, 0.3, 1.0, 7.0, 1000.0, math.inf]),
 )
+@example([0.5, 0.25, 1.0], [], 1.0)  # distinct images in order: no sort
+@example([5e-324, 1e-310, 0.5], [], 1.0)  # subnormals keep their own images
+@example([5e-324, 1e-310, 0.5], [], 7.0)  # ... and underflow to one 0.0 here
+@example([0.5], [0.0, -0.0], 1.0)  # both zeros map to 0.0
+@example([0.5], [-0.0], 1.0)  # -0.0 is the last key, its image 0.0 the first
+@example([0.25, 0.5], [], 5e-324)  # every image is 1.0
 def test_fitted_table_comes_from_the_originals(values, zeros, x) -> None:
     v = np.array(values + zeros)
     p = Profile(v)
@@ -499,8 +505,13 @@ def test_fitted_table_comes_from_the_originals(values, zeros, x) -> None:
     np.testing.assert_array_equal(fitted.values.view(np.uint64), want_values.view(np.uint64))
     unique = functools.partial(np.unique, return_inverse=True, return_counts=True)
     want = unique(fitted.values.view(np.uint64))
-    derived = _image_table(unique(v.view(np.uint64)), fitted.values)
+    table = unique(v.view(np.uint64))
+    derived = _image_table(table, fitted.values)
     assert derived is not None  # the original's partition was used
     _assert_same_table(derived, want)
+    # The sort is skipped, and the original's inverse reused, exactly where
+    # np.unique's keys are the images of the distinct values in their order.
+    image = fitted.values.view(np.uint64)[np.unique(v.view(np.uint64), return_index=True)[1]]
+    assert (derived[1] is table[1]) == np.array_equal(want[0], image)
     (keys, inverse, counts), _ = FittedPair(p, fitted)._tables[1]
     _assert_same_table((keys.view(np.uint64), inverse, counts), want)

@@ -19,17 +19,21 @@ rounding ends their progress. Targets outside the reachable band
 
 The fit's operations read the profile's value table (one ``np.unique`` of
 its values, which the CSV writers reuse), the mask of positive values, the
-bases of S(x), their logs and the profile's :class:`ProfileStats` from the
-:class:`Profile`, which builds each on first use and keeps it, so a refit of
-the same profile rebuilds none of them. Where few of the positive values are
-distinct, as in a series rounded to 3 decimals, the bases are the distinct
-positive values: each exp and pow of a fit runs once per distinct value,
-and its results are gathered to input order, so every sum, and so every
-result, is the same to the bit as one term per value would give. The
-Profile also keeps the powers ``p ** x`` of the last exponent that
-:func:`mean_power` or :func:`apply_exponent` took, so :func:`apply_exponent`
-at the exponent a fit returned reuses the powers of the fit's last S(x),
-and a fit plus its application pays for one pow.
+bases of S(x), their logs and weights and the profile's :class:`ProfileStats`
+from the :class:`Profile`, which builds each on first use and keeps it, so a
+refit of the same profile rebuilds none of them. Where few of the positive
+values are distinct, as in a series rounded to 3 decimals, the bases are the
+distinct positive values, else every positive value, and each exp and pow of
+a fit runs once per base. A Newton step weights the term of each base by the
+count of positive values it stands for, so its S and S' may differ from one
+term per value in their last bits; they only steer the step. A root is
+accepted by :func:`mean_power`, which gathers its powers to input order and
+sums them there, so the S(x) a fit reports and every fitted value are the
+same to the bit as one term per value would give. The Profile also keeps
+the powers ``p ** x`` of the last exponent that :func:`mean_power` or
+:func:`apply_exponent` took, so :func:`apply_exponent` at the exponent a fit
+returned reuses the powers of the fit's last S(x), and a fit plus its
+application pays for one pow.
 """
 
 from __future__ import annotations
@@ -124,16 +128,20 @@ class MaxIterationsExceededError(ProfileFitError):
 # Domain types
 # ---------------------------------------------------------------------------
 
-# S(x) is evaluated once per distinct positive value, then gathered to input
-# order, when there are at most this many distinct positive values per
-# positive value; otherwise once per positive value. A gather costs about
-# what an exp costs where numpy's exp is SIMD (0.7 ns a value on an AVX-512
-# Xeon), but a pow three times that, and ten times that at exponent 1000.
-# There, with numpy 2.4 and 8760 values, a fit plus apply_exponent per target
-# on the distinct values took, against one per value, 0.83x at 1% distinct,
-# 1.00x at 30%, 1.03x at 40% and 1.14x at 50% for targets in the band only,
-# and 0.75x at 30% and 0.87x at 48% for targets across (0, 1) on a profile
-# with zeros and ones, whose clamped fits pow at exponent 1000.
+# The bases of S(x) are the distinct positive values when there are at most
+# this many distinct positive values per positive value; otherwise every
+# positive value. A Newton step takes one exp per base and gathers nothing
+# either way. mean_power and apply_exponent pow once per base, and on the
+# distinct side gather the powers to input order, where the other side
+# scatters them through the mask. With numpy 2.4 and 8760 values on an
+# AVX-512 Xeon, a fit plus apply_exponent per target on the distinct side
+# took, against the per-value side, 0.37x at 1% distinct, 0.54x at 30%,
+# 0.70x at 50% and 0.97x at 100% for targets in the band, and 0.36x, 0.51x,
+# 0.67x and 0.90x for targets across (0, 1) on a profile with zeros and
+# ones, whose clamped fits pow at exponent 1000. So the distinct side is no
+# slower at any share measured. The share is kept, since the last bits of
+# every full-precision fit's steps depend on it, until a benchmark of
+# full-precision profiles decides whether the per-value side pays.
 _DISTINCT_SHARE = 1 / 3
 
 
@@ -158,20 +166,21 @@ class Profile:
     the Profile's lifetime; they are not fields. One is the value table
     ``(distinct, inverse, counts)`` of one ``np.unique`` over the values'
     bits, 8 bytes per value plus 16 per distinct value, which the CSV
-    writers of :class:`~profilefit.profile_io.FittedPair` reuse. Where the
-    positive values repeat (see :data:`_DISTINCT_SHARE`), S(x) is
-    evaluated once per distinct positive value and the terms are gathered to
-    input order through an index of 8 bytes per positive value. The others
-    are the mask of positive values (1 byte per value), the bases of S(x)
-    (the distinct positive values, or every positive value), their logs and
-    the powers ``p ** x`` of the last exponent taken (8 bytes per base
-    each), the logs in input order (8 bytes per positive value, none more
-    when the bases are every positive value), the :class:`ProfileStats`
-    and three numbers for the bracket. That is at most 49 bytes per value, about
-    430 KB for an annual hourly profile whose values are all distinct, and
-    180-240 KB for one at 3 decimals. Only the kept powers change after
-    they are built: they are replaced, never written to, by a call at
-    another exponent, so threads may share a Profile.
+    writers of :class:`~profilefit.profile_io.FittedPair` reuse. The others
+    are the mask of positive values (1 byte per value); the bases of S(x),
+    which are the distinct positive values where these repeat (see
+    :data:`_DISTINCT_SHARE`) and else every positive value; their logs,
+    their weights (the count of positive values each base stands for, as
+    float64), the weights times the logs (none more where every weight is
+    1) and the powers ``p ** x`` of the last exponent taken, 8 bytes per
+    base each; on the distinct side, the index that gathers one power per
+    base to one per positive value in input order (8 bytes per positive
+    value); the :class:`ProfileStats`; and three numbers for the bracket.
+    That is at most 57 bytes per value, about 500 KB for an annual hourly
+    profile whose values are all positive and distinct, and 150-195 KB for
+    one at 3 decimals. Only the kept powers change after they are built:
+    they are replaced, never written to, by a call at another exponent, so
+    threads may share a Profile.
     """
 
     values: np.ndarray
@@ -249,17 +258,26 @@ class Profile:
         return lb
 
     @functools.cached_property
-    def _log_positive(self) -> np.ndarray:
-        """The log of each positive value, in input order."""
-        lp = self._in_input_order(self._log_bases)
-        lp.setflags(write=False)
-        return lp
+    def _weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """The count of positive values each base of S(x) stands for, as
+        float64 (its table count on the distinct side, else 1), and that
+        count times the base's log: the weights of a Newton step's S and S'."""
+        distinct, _, counts = self._table
+        if self._bases[1] is None:
+            w, wl = np.ones(self._bases[0].size), self._log_bases  # 1 * log b is log b
+        else:
+            w = counts[distinct > 0.0].astype(np.float64)
+            wl = w * self._log_bases
+            wl.setflags(write=False)
+        w.setflags(write=False)
+        return w, wl
 
     @functools.cached_property
     def _inner_logs(self) -> tuple[int, float, float]:
         """k, the count of values in (0, 1), and the mean and the largest of
-        their logs (NaN when k is 0): the data of :func:`find_search_interval`."""
-        lp = self._log_positive
+        their logs (NaN when k is 0): the data of :func:`find_search_interval`.
+        The mean runs over the logs in input order, which are not kept."""
+        lp = self._in_input_order(self._log_bases)
         inner = lp[lp < 0.0]  # each 1 has log 0
         if inner.size == 0:
             return (0, math.nan, math.nan)
@@ -402,21 +420,25 @@ def find_search_interval(p: Profile, mu: float) -> tuple[float, float]:
 
 
 def _mean_and_slope(p: Profile, x: float) -> tuple[float, float]:
-    """S(x) and S'(x) from one ``e = exp(x * log p)`` over the profile's cached logs."""
-    e = p._in_input_order(np.exp(x * p._log_bases))
+    """S(x) and S'(x) of a Newton step, from one ``e = exp(x * log p)`` over
+    the bases p of S(x): the dots of ``e`` with each base's count and with
+    count times log, over m. Their last bits may differ from :func:`mean_power`'s."""
+    e = np.exp(x * p._log_bases)
+    w, wl = p._weights
     m = p.values.size
-    return float(e.sum() / m), float(e.dot(p._log_positive) / m)
+    return float(e.dot(w) / m), float(e.dot(wl) / m)
 
 
 def _log_slope(p: Profile, x: float, s: float) -> float:
-    """S'(x) / S(x) from ``exp(x * log p - log S)``, whose terms sum to about m.
+    """S'(x) / S(x) from ``exp(x * log p - log S)``, whose weighted terms sum to about m.
 
     Where S is near the smallest normal float or below it, S'(x) is a
     subnormal of a few bits or underflows to 0, but this keeps full
     precision. It is 0 where S is flat.
     """
-    e = p._in_input_order(np.exp(x * p._log_bases - math.log(s)))
-    return float(e.dot(p._log_positive) / e.sum())
+    e = np.exp(x * p._log_bases - math.log(s))
+    w, wl = p._weights
+    return float(e.dot(wl) / e.dot(w))
 
 
 def bisect_root(
@@ -431,9 +453,12 @@ def bisect_root(
     Returns ``(x, iterations, S(x))``, with S(x) as :func:`mean_power`
     computes it. The name is historical: the solve takes only Newton steps
     on log S(x) = log mu, ``x - log(S / mu) * S / S'``, from ``a``, each
-    reading S and S' from one ``exp(x * log p)``; where S' is below the
-    smallest normal float, S'/S is read again at S's own scale, from
-    ``exp(x * log p - log S)``, so that no bits are lost. log S is convex and
+    reading S and S' from one ``exp(x * log p)`` over the bases p of S(x),
+    each term weighted by the count of positive values its base stands for;
+    where S' is below the smallest normal float, S'/S is read again at S's
+    own scale, from ``exp(x * log p - log S)``, so that no bits are lost.
+    Those sums only steer the steps: their last bits may differ from
+    :func:`mean_power`'s, which alone accepts a root. log S is convex and
     decreasing, so a step from where S > mu never passes the root, and it
     lowers S by any factor, where a step on S itself lowers it by at most a
     factor e. Where S is flat and above mu the step goes to ``b``, which is
@@ -442,7 +467,7 @@ def bisect_root(
     more than residual_tol / 2, a ``b`` below ``a`` or NaN, and a mu that
     is not positive raise ValueError.
 
-    Once the exp-form residual is within residual_tol / 2 (at ``a``, after
+    Once the step's residual is within residual_tol / 2 (at ``a``, after
     zero iterations), the step, which lands within rounding of the root, is
     returned if |S(x) - mu| <= residual_tol holds there for
     :func:`mean_power`. A step that does not move x right shows that

@@ -152,14 +152,14 @@ def test_profile_holds_float64_only(values) -> None:
 
 
 def test_profile_fields_are_just_values() -> None:
-    # The value table, the mask, the bases of S(x), their logs, the stats
-    # and the last powers are cached on first use, not fields: Profile stays frozen and
+    # The value table, the mask, the bases of S(x), their logs and weights,
+    # the stats and the last powers are cached on first use, not fields: Profile stays frozen and
     # compares by identity (its dtype check is
     # test_profile_holds_float64_only's). A fit caches nothing else.
     p = validate_profile([0.0, 0.5, 1.0])
     fitted = apply_exponent(p, find_solution(p, 0.4).exponent)
     fit_caches = {
-        "values", "_table", "_mask", "_bases", "_log_bases", "_log_positive", "_inner_logs",
+        "values", "_table", "_mask", "_bases", "_log_bases", "_weights", "_inner_logs",
         "_stats", "_last_powers",
     }
     assert set(vars(p)) <= fit_caches and set(vars(fitted)) <= fit_caches
@@ -169,7 +169,7 @@ def test_profile_fields_are_just_values() -> None:
         p.values = np.zeros(3)
     assert not p._mask.flags.writeable
     assert not p._bases[0].flags.writeable
-    assert not p._log_positive.flags.writeable
+    assert not any(a.flags.writeable for a in p._weights)
     assert p._inner_logs == (1, math.log(0.5), math.log(0.5))
 
 
@@ -481,6 +481,51 @@ def test_the_rounding_end_pays_one_pow_per_distinct_candidate(monkeypatch) -> No
     assert out.iterations == 2
     assert out.achieved_mean.hex() == "0x1.bff2ee48e0554p-333"
     assert len(pows) <= 5
+
+
+@pytest.mark.parametrize("decimals", [3, None], ids=["3_decimals", "full_precision"])
+def test_newton_steps_gather_nothing_to_input_order(monkeypatch, decimals) -> None:
+    # A step reads S and S' as weighted dots over the bases of S(x); only the
+    # confirming mean_power gathers its powers to input order.
+    rng = np.random.default_rng(7)
+    v = np.where(rng.random(8760) < 0.4, 0.0, rng.beta(2.0, 3.0, 8760))
+    p = validate_profile(v if decimals is None else np.round(v, decimals))
+    assert (p._bases[1] is None) == (decimals is None)
+    find_solution(p, 0.2)  # builds the Profile's caches, which gather once
+    gathers = []
+    gather = Profile._in_input_order
+
+    def counting(self, terms):
+        gathers.append(terms.size)
+        return gather(self, terms)
+
+    monkeypatch.setattr(Profile, "_in_input_order", counting)
+    for mu in (0.05, 0.15, 0.3, 0.45):
+        gathers.clear()
+        out = find_solution(p, mu)
+        assert out.status is FitStatus.EXACT and out.iterations >= 2
+        assert len(gathers) <= 1
+
+
+def test_very_uneven_counts_fit_in_few_steps() -> None:
+    # One base stands for 8000 values and six for one each, so its weight
+    # dwarfs theirs in a step's dots; the steps must still find the root as
+    # fast, and mean_power, over input order, must confirm it.
+    rng = np.random.default_rng(3)
+    others = [0.0, 0.001, 0.05, 0.6, 0.9, 0.999, 1.0]
+    p = validate_profile(rng.permutation(np.concatenate([np.full(8000, 0.3), others])))
+    assert p._bases[1] is not None
+    s = profile_stats(p)
+    asymptote, reachable = s.n / s.m, s.r / s.m
+    # From 1% of the band above the asymptote up; nearer to it, where S is
+    # flat, Newton from the bracket's left end takes more steps (9 at 1e-6).
+    for f in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+        mu = asymptote + f * (reachable - asymptote)
+        out = find_solution(p, mu)
+        assert out.status is FitStatus.EXACT
+        assert out.iterations < 5
+        assert out.achieved_mean == mean_power(p, out.exponent)
+        assert abs(out.achieved_mean - mu) <= FitOptions().residual_tol
 
 
 @pytest.mark.parametrize(

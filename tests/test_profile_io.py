@@ -511,7 +511,7 @@ def test_writing_a_pair_leaves_its_profiles_with_the_fits_caches_only(tmp_path) 
     pair = FittedPair(original, fitted)
     _write_outputs(tmp_path / "out", ["t"] * 500, pair)
     fit_caches = {
-        "values", "_table", "_mask", "_bases", "_log_bases", "_log_positive", "_inner_logs",
+        "values", "_table", "_mask", "_bases", "_log_bases", "_weights", "_inner_logs",
         "_stats", "_last_powers",
     }
     assert set(vars(original)) <= fit_caches and set(vars(fitted)) <= fit_caches

@@ -216,16 +216,39 @@ def _bits(*floats) -> bytes:
 def test_terms_of_distinct_values_match_one_term_per_value(v, x) -> None:
     p = Profile(v)
     pos = v[v > 0.0]
-    distinct = np.unique(pos.view(np.uint64)).size
-    assert (p._bases[1] is not None) == (distinct <= fitcore._DISTINCT_SHARE * pos.size)
-    # S, S' and S'/S from exp(x * log p), one term per positive value.
+    keys, counts = np.unique(pos.view(np.uint64), return_counts=True)
+    per_distinct = keys.size <= fitcore._DISTINCT_SHARE * pos.size
+    assert (p._bases[1] is not None) == per_distinct
+    # A Newton step's S, S' and S'/S: one exp per base of S(x), each term
+    # weighted by the count of positive values it stands for, bit for bit.
+    if per_distinct:
+        bases, w = keys.view(np.float64), counts.astype(np.float64)
+    else:
+        bases, w = pos, np.ones(pos.size)
+    lb = np.log(bases)
+    wl = w * lb
+    e = np.exp(x * lb)
+    s = float(e.dot(w) / v.size)
+    assert _bits(*fitcore._mean_and_slope(p, x)) == _bits(s, float(e.dot(wl) / v.size))
+    if s > 0.0:
+        e = np.exp(x * lb - math.log(s))
+        assert _bits(fitcore._log_slope(p, x, s)) == _bits(float(e.dot(wl) / e.dot(w)))
+    # They sum the same same-signed terms as one term per positive value
+    # does, in another order and with counts multiplied in, so they lie
+    # within 4 eps per term of those sums, plus one subnormal unit per term
+    # where the terms underflow.
+    def near(got, want):
+        tol = 4 * pos.size * sys.float_info.epsilon * abs(want)
+        return abs(got - want) <= tol + (pos.size + 1) * math.ulp(0.0)
+
     lp = np.log(pos)
     e = np.exp(x * lp)
-    s = float(e.sum() / v.size)
-    assert _bits(*fitcore._mean_and_slope(p, x)) == _bits(s, float(e.dot(lp) / v.size))
-    if s > 0.0:
-        e = np.exp(x * lp - math.log(s))
-        assert _bits(fitcore._log_slope(p, x, s)) == _bits(float(e.dot(lp) / e.sum()))
+    s_one, slope_one = float(e.sum() / v.size), float(e.dot(lp) / v.size)
+    s_step, slope_step = fitcore._mean_and_slope(p, x)
+    assert near(s_step, s_one) and near(slope_step, slope_one)
+    if s_one > 0.0:
+        e = np.exp(x * lp - math.log(s_one))
+        assert near(fitcore._log_slope(p, x, s_one), float(e.dot(lp) / e.sum()))
     # The kept powers, gathered, and the fitted values, at x and at inf.
     for y in (x, math.inf):
         assert _bits(mean_power(p, y)) == _bits(float(np.sum(pos**y) / v.size))

@@ -19,21 +19,22 @@ rounding ends their progress. Targets outside the reachable band
 
 The fit's operations read the profile's value table (one ``np.unique`` of
 its values, which the CSV writers reuse), the mask of positive values, the
-bases of S(x), their logs and weights and the profile's :class:`ProfileStats`
-from the :class:`Profile`, which builds each on first use and keeps it, so a
-refit of the same profile rebuilds none of them. Where few of the positive
-values are distinct, as in a series rounded to 3 decimals, the bases are the
-distinct positive values, else every positive value, and each exp and pow of
-a fit runs once per base. A Newton step weights the term of each base by the
-count of positive values it stands for, so its S and S' may differ from one
-term per value in their last bits; they only steer the step. A root is
-accepted by :func:`mean_power`, which gathers its powers to input order and
-sums them there, so the S(x) a fit reports and every fitted value are the
-same to the bit as one term per value would give. The Profile also keeps
-the powers ``p ** x`` of the last exponent that :func:`mean_power` or
-:func:`apply_exponent` took, so :func:`apply_exponent` at the exponent a fit
-returned reuses the powers of the fit's last S(x), and a fit plus its
-application pays for one pow.
+bases of S(x), their logs and weights, the index that places them at the
+values, and the profile's :class:`ProfileStats` from the :class:`Profile`,
+which builds each on first use and keeps it, so a refit of the same profile
+rebuilds none of them. Where few of the positive values are distinct, as in
+a series rounded to 3 decimals, the bases are the distinct positive values,
+else every positive value, and each exp and pow of a fit runs once per base.
+A Newton step weights the term of each base by the count of positive values
+it stands for, so its S and S' may differ from one term per value in their
+last bits; they only steer the step. A root is accepted by
+:func:`mean_power`, which sums the fitted values in input order, ``p ** x``
+for each positive value p and 0 for each zero, so the S(x) a fit reports is
+the mean of the profile it fits to, bit for bit. The Profile keeps the
+fitted values of the last exponent that :func:`mean_power` or
+:func:`apply_exponent` took, built by one pow per base and one take per
+value, so :func:`apply_exponent` at the exponent a fit returned returns the
+values of the fit's last S(x), and a fit plus its application builds them once.
 """
 
 from __future__ import annotations
@@ -130,16 +131,16 @@ class MaxIterationsExceededError(ProfileFitError):
 
 # The bases of S(x) are the distinct positive values when there are at most
 # this many distinct positive values per positive value; otherwise every
-# positive value. A Newton step takes one exp per base and gathers nothing
-# either way. mean_power and apply_exponent pow once per base, and on the
-# distinct side gather the powers to input order, where the other side
-# scatters them through the mask. With numpy 2.4 and 8760 values on an
-# AVX-512 Xeon, a fit plus apply_exponent per target on the distinct side
-# took, against the per-value side, 0.37x at 1% distinct, 0.54x at 30%,
-# 0.70x at 50% and 0.97x at 100% for targets in the band, and 0.36x, 0.51x,
-# 0.67x and 0.90x for targets across (0, 1) on a profile with zeros and
-# ones, whose clamped fits pow at exponent 1000. So the distinct side is no
-# slower at any share measured. The share is kept, since the last bits of
+# positive value. Either way a Newton step takes one exp per base and
+# gathers nothing, and the fitted values of mean_power and apply_exponent
+# are one pow per base and one take per value; the share decides only how
+# many bases there are, the weights of a step's terms and the memory kept.
+# With numpy 2.4 and 8760 values on a shared 2-vCPU AVX-512 Xeon, a fit
+# plus apply_exponent per target on the distinct side took, against the
+# per-value side, 0.34-0.86x at 1%, 30% and 50% distinct and 0.93-1.07x at
+# 100% (five runs of 40 targets each, in the band, or across (0, 1) on a
+# profile with zeros and ones). So the distinct side is no slower, beyond
+# noise, at any share measured. The share is kept, since the last bits of
 # every full-precision fit's steps depend on it, until a benchmark of
 # full-precision profiles decides whether the per-value side pays.
 _DISTINCT_SHARE = 1 / 3
@@ -171,16 +172,16 @@ class Profile:
     which are the distinct positive values where these repeat (see
     :data:`_DISTINCT_SHARE`) and else every positive value; their logs,
     their weights (the count of positive values each base stands for, as
-    float64), the weights times the logs (none more where every weight is
-    1) and the powers ``p ** x`` of the last exponent taken, 8 bytes per
-    base each; on the distinct side, the index that gathers one power per
-    base to one per positive value in input order (8 bytes per positive
-    value); the :class:`ProfileStats`; and three numbers for the bracket.
-    That is at most 57 bytes per value, about 500 KB for an annual hourly
-    profile whose values are all positive and distinct, and 150-195 KB for
-    one at 3 decimals. Only the kept powers change after they are built:
-    they are replaced, never written to, by a call at another exponent, so
-    threads may share a Profile.
+    float64) and the weights times the logs (none more where every weight
+    is 1), 8 bytes per base each; the index that places one term per base
+    at each value (8 bytes per value, none more where it is the table's
+    inverse); the fitted values ``p ** x`` of the last exponent taken (8
+    bytes per value); the :class:`ProfileStats`; and three numbers for the
+    bracket. That is at most 65 bytes per value, about 570 KB for an annual
+    hourly profile whose values are all positive and distinct, and
+    150-190 KB for one at 3 decimals. Only the kept fitted values change
+    after they are built: they are replaced, never written to, by a call at
+    another exponent, so threads may share a Profile.
     """
 
     values: np.ndarray
@@ -228,27 +229,34 @@ class Profile:
         return mask
 
     @functools.cached_property
-    def _bases(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """The bases of S(x) and the index that gathers one term per base to
-        one per positive value, in input order: the distinct positive values
-        and that index where they are few enough (:data:`_DISTINCT_SHARE`),
-        else the positive values themselves in input order and None."""
+    def _bases(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """``(bases, counts, index)``: the bases of S(x); the count of
+        positive values each stands for, None where that is 1; and per value
+        the slot of ``image = [0, bases ** x..., 0]`` that holds its fitted
+        value: 1 + its base's position for a positive value, the first or
+        the last slot for a zero. The bases are the distinct positive values
+        and their table counts where those are few enough
+        (:data:`_DISTINCT_SHARE`), else the positive values themselves in
+        input order."""
         distinct, inverse, counts = self._table
-        positive = distinct > 0.0
-        bases = distinct[positive]
-        if bases.size > _DISTINCT_SHARE * counts[positive].sum():
-            bases, index = self.values[self._mask], None
-        else:
-            # The positive keys are contiguous, from the first one on.
-            index = inverse[self._mask] - np.argmax(positive)
-            index.setflags(write=False)
+        keys = distinct.view(np.uint64)
+        # 0.0 (key 0) sorts first and -0.0 (the sign bit alone) last, so the
+        # positive keys are contiguous. The end keys are read as Python ints:
+        # numpy 1.x promotes a uint64 scalar and a Python int to float64,
+        # which has no shift.
+        lo, hi = int(keys[0]), int(keys[-1])
+        first = int(lo == 0)
+        positive = slice(first, keys.size - (hi >> 63))
+        bases, counts = distinct[positive], counts[positive]
+        if bases.size > _DISTINCT_SHARE * counts.sum():
+            bases, counts = self.values[self._mask], None
+            index = np.zeros(self.values.size, dtype=np.intp)
+            index[self._mask] = np.arange(1, bases.size + 1)
+        else:  # 0.0 takes the first slot and -0.0 the last, with no mask
+            index = inverse if first else inverse + 1
         bases.setflags(write=False)
-        return bases, index
-
-    def _in_input_order(self, terms: np.ndarray) -> np.ndarray:
-        """``terms``, one per base of S(x), as one per positive value in input order."""
-        index = self._bases[1]
-        return terms if index is None else terms.take(index)
+        index.setflags(write=False)
+        return bases, counts, index
 
     @functools.cached_property
     def _log_bases(self) -> np.ndarray:
@@ -262,11 +270,11 @@ class Profile:
         """The count of positive values each base of S(x) stands for, as
         float64 (its table count on the distinct side, else 1), and that
         count times the base's log: the weights of a Newton step's S and S'."""
-        distinct, _, counts = self._table
-        if self._bases[1] is None:
-            w, wl = np.ones(self._bases[0].size), self._log_bases  # 1 * log b is log b
+        bases, counts, _ = self._bases
+        if counts is None:
+            w, wl = np.ones(bases.size), self._log_bases  # 1 * log b is log b
         else:
-            w = counts[distinct > 0.0].astype(np.float64)
+            w = counts.astype(np.float64)
             wl = w * self._log_bases
             wl.setflags(write=False)
         w.setflags(write=False)
@@ -277,7 +285,14 @@ class Profile:
         """k, the count of values in (0, 1), and the mean and the largest of
         their logs (NaN when k is 0): the data of :func:`find_search_interval`.
         The mean runs over the logs in input order, which are not kept."""
-        lp = self._in_input_order(self._log_bases)
+        _, counts, index = self._bases
+        # The per-value side's logs are already those of the positive values
+        # in input order, which spares a select over all m values with the
+        # zeros strewn among them (about 60 us for 8760 values).
+        if counts is None:
+            lp = self._log_bases
+        else:  # one log per value, 0 for a zero
+            lp = np.concatenate(([0.0], self._log_bases, [0.0])).take(index)
         inner = lp[lp < 0.0]  # each 1 has log 0
         if inner.size == 0:
             return (0, math.nan, math.nan)
@@ -292,18 +307,23 @@ class Profile:
         n = int(np.count_nonzero(v == 1.0))
         return ProfileStats(m=m, r=r, n=n, mean=float(v.sum() / m))
 
-    def _powers(self, x: float) -> np.ndarray:
-        """``bases ** x`` for a float ``x``, one per base of S(x), kept,
-        read-only, until a call at another exponent replaces it. The key and
-        the array are stored as one tuple, so a thread reads a matching pair
-        or computes its own."""
-        kept = self.__dict__.get("_last_powers")
+    def _fitted(self, x: float) -> np.ndarray:
+        """The fitted values at a float ``x``, ``p ** x`` for each positive
+        value p and 0 for each zero, in input order: one pow per base of
+        S(x) into the image of :attr:`_bases`, then one take through its
+        index. Kept, read-only, until a call at another exponent replaces
+        them. The key and the array are stored as one tuple, so a thread
+        reads a matching pair or computes its own."""
+        kept = self.__dict__.get("_last_fitted")
         if kept is not None and kept[0] == x:
             return kept[1]
-        powers = self._bases[0] ** x
-        powers.setflags(write=False)
-        self.__dict__["_last_powers"] = (x, powers)
-        return powers
+        bases, _, index = self._bases
+        image = np.zeros(bases.size + 2)
+        np.power(bases, x, out=image[1:-1])
+        fitted = image.take(index)
+        fitted.setflags(write=False)
+        self.__dict__["_last_fitted"] = (x, fitted)
+        return fitted
 
 
 @dataclass(frozen=True)
@@ -376,10 +396,12 @@ def mean_power(p: Profile, x: float) -> float:
 
     Division is by the total count m, zeros included, so the result lies
     in [0, r/m]. Underflow of tiny bases at large exponents rounds to 0,
-    which is the correct limit. ``x`` is taken as ``float(x)``, and the
-    powers are kept on ``p`` for :func:`apply_exponent` at the same exponent.
+    which is the correct limit. ``x`` is taken as ``float(x)``. The sum runs
+    over the values :func:`apply_exponent` gives at ``x``, zeros included,
+    in input order, so it is their mean bit for bit; they are kept on ``p``
+    for :func:`apply_exponent` at the same exponent.
     """
-    return float(np.sum(p._in_input_order(p._powers(float(x)))) / p.values.size)
+    return float(p._fitted(float(x)).sum() / p.values.size)
 
 
 # Each bracket end moves out by this many units of b + mu / ((mu - n/m) * |l_max|).
@@ -563,8 +585,9 @@ def apply_exponent(p, x: float) -> Profile:
     result is again a valid profile: values stay within [0, 1] for any
     x >= 0, ``inf`` included. The exponent is taken as ``float(x)``; a bool,
     a value that is not a real number, and a negative or NaN exponent raise
-    ValueError. The powers are those of the last :func:`mean_power` at the
-    same exponent, when it was the last exponent ``p`` took.
+    ValueError. The result holds the read-only values that the last
+    :func:`mean_power` at the same exponent summed, when it was the last
+    exponent ``p`` took.
     """
     if not isinstance(p, Profile):
         p = validate_profile(p)
@@ -573,13 +596,4 @@ def apply_exponent(p, x: float) -> Profile:
     x = float(x)
     if not x >= 0.0:  # also catches nan
         raise ValueError(f"exponent must be nonnegative, got {x!r}")
-    powers = p._powers(x)
-    if p._bases[1] is None:
-        out = np.zeros_like(p.values)
-        out[p._mask] = powers
-    else:  # one power per distinct value, 0 for both zeros, gathered
-        distinct, inverse, _ = p._table
-        image = np.zeros_like(distinct)
-        image[distinct > 0.0] = powers
-        out = image.take(inverse)
-    return Profile(out)
+    return Profile(p._fitted(x))

@@ -153,14 +153,14 @@ def test_profile_holds_float64_only(values) -> None:
 
 def test_profile_fields_are_just_values() -> None:
     # The value table, the mask, the bases of S(x), their logs and weights,
-    # the stats and the last powers are cached on first use, not fields: Profile stays frozen and
-    # compares by identity (its dtype check is
-    # test_profile_holds_float64_only's). A fit caches nothing else.
+    # the stats and the last fitted values are cached on first use, not
+    # fields: Profile stays frozen and compares by identity (its dtype check
+    # is test_profile_holds_float64_only's). A fit caches nothing else.
     p = validate_profile([0.0, 0.5, 1.0])
     fitted = apply_exponent(p, find_solution(p, 0.4).exponent)
     fit_caches = {
         "values", "_table", "_mask", "_bases", "_log_bases", "_weights", "_inner_logs",
-        "_stats", "_last_powers",
+        "_stats", "_last_fitted",
     }
     assert set(vars(p)) <= fit_caches and set(vars(fitted)) <= fit_caches
     assert [f.name for f in dataclasses.fields(Profile)] == ["values"]
@@ -168,7 +168,7 @@ def test_profile_fields_are_just_values() -> None:
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.values = np.zeros(3)
     assert not p._mask.flags.writeable
-    assert not p._bases[0].flags.writeable
+    assert not p._bases[0].flags.writeable and not p._bases[2].flags.writeable
     assert not any(a.flags.writeable for a in p._weights)
     assert p._inner_logs == (1, math.log(0.5), math.log(0.5))
 
@@ -460,20 +460,26 @@ def test_bisect_ends_on_the_best_float_when_the_tolerance_cannot_be_met(values, 
         assert abs(achieved - mu) <= abs(mean_power(p, math.nextafter(x, side)) - mu)
 
 
+def _count_fitted_builds(monkeypatch) -> list[float]:
+    """Record each exponent at which a Profile builds its fitted values (one pow)."""
+    builds = []
+    fitted = Profile._fitted
+
+    def counting(self, x):
+        kept = self.__dict__.get("_last_fitted")
+        if kept is None or kept[0] != x:
+            builds.append(x)
+        return fitted(self, x)
+
+    monkeypatch.setattr(Profile, "_fitted", counting)
+    return builds
+
+
 def test_the_rounding_end_pays_one_pow_per_distinct_candidate(monkeypatch) -> None:
     # Where residual_tol cannot be met, the rounding end picks the best of
     # five candidate exponents. It used to pow at each, repeats included, and
     # then once more at the one it picked: 6 pows for this fit, not 5.
-    pows = []
-    powers = Profile._powers
-
-    def counting(self, x):
-        kept = self.__dict__.get("_last_powers")
-        if kept is None or kept[0] != x:
-            pows.append(x)
-        return powers(self, x)
-
-    monkeypatch.setattr(Profile, "_powers", counting)
+    pows = _count_fitted_builds(monkeypatch)
     p = validate_profile(np.random.default_rng(101).random(3))
     out = find_solution(p, 1e-100, FitOptions(residual_tol=5e-324))
     # The parent's (x, iterations, S), bit for bit.
@@ -486,25 +492,59 @@ def test_the_rounding_end_pays_one_pow_per_distinct_candidate(monkeypatch) -> No
 @pytest.mark.parametrize("decimals", [3, None], ids=["3_decimals", "full_precision"])
 def test_newton_steps_gather_nothing_to_input_order(monkeypatch, decimals) -> None:
     # A step reads S and S' as weighted dots over the bases of S(x); only the
-    # confirming mean_power gathers its powers to input order.
+    # confirming mean_power takes the fitted values to input order.
     rng = np.random.default_rng(7)
     v = np.where(rng.random(8760) < 0.4, 0.0, rng.beta(2.0, 3.0, 8760))
     p = validate_profile(v if decimals is None else np.round(v, decimals))
     assert (p._bases[1] is None) == (decimals is None)
     find_solution(p, 0.2)  # builds the Profile's caches, which gather once
     gathers = []
-    gather = Profile._in_input_order
+    fitted = Profile._fitted
 
-    def counting(self, terms):
-        gathers.append(terms.size)
-        return gather(self, terms)
+    def counting(self, x):
+        gathers.append(x)
+        return fitted(self, x)
 
-    monkeypatch.setattr(Profile, "_in_input_order", counting)
+    monkeypatch.setattr(Profile, "_fitted", counting)
     for mu in (0.05, 0.15, 0.3, 0.45):
         gathers.clear()
         out = find_solution(p, mu)
         assert out.status is FitStatus.EXACT and out.iterations >= 2
         assert len(gathers) <= 1
+
+
+@pytest.mark.parametrize("decimals", [3, None], ids=["3_decimals", "full_precision"])
+def test_a_fit_and_its_apply_build_the_fitted_values_once(monkeypatch, decimals) -> None:
+    # apply_exponent at the exponent a fit returned wraps the fitted values
+    # its last mean_power summed; it used to scatter and gather them again.
+    rng = np.random.default_rng(11)
+    v = np.where(rng.random(8760) < 0.3, 0.0, rng.beta(2.0, 3.0, 8760))
+    p = validate_profile(v if decimals is None else np.round(v, decimals))
+    builds = _count_fitted_builds(monkeypatch)
+    for mu in (0.1, 0.3, 0.6):
+        builds.clear()
+        out = find_solution(p, mu)
+        applied = apply_exponent(p, out.exponent)
+        assert out.status is FitStatus.EXACT
+        assert builds == [out.exponent]
+        assert applied.values is p.__dict__["_last_fitted"][1]
+        assert out.achieved_mean == profile_stats(applied).mean
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[0.0], [-0.0], [0.0, -0.0], [-0.0, 0.0, -0.0, 0.0]],
+    ids=["zero", "negative_zero", "both", "both_repeated"],
+)
+def test_a_profile_with_no_positive_value_fits_to_zeros(values) -> None:
+    # The index of a value table with no positive key: 0.0 takes the image's
+    # first slot and -0.0 its last, which is slot 1, not 2.
+    p = validate_profile(values)
+    for x in (0.0, 0.5, 1000.0, math.inf):
+        assert mean_power(p, x) == 0.0
+        assert apply_exponent(p, x).values.tobytes() == np.zeros(len(values)).tobytes()
+    out = find_solution(p, 0.5)
+    assert out.status is FitStatus.CLAMPED_LOW and out.achieved_mean == 0.0
 
 
 def test_very_uneven_counts_fit_in_few_steps() -> None:

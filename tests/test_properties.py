@@ -174,13 +174,14 @@ def test_kept_powers_match_a_fresh_pow(values, calls) -> None:
     v = np.array(values)
     p = validate_profile(values)
     for name, x in calls:
+        expected = np.where(v > 0.0, v ** x, 0.0)
         if name == "mean_power":
-            assert mean_power(p, x) == float(np.sum(v[v > 0.0] ** x) / v.size)
+            assert _bits(mean_power(p, x)) == _bits(float(np.sum(expected) / v.size))
         else:
-            expected = np.where(v > 0.0, v ** x, 0.0)
             assert apply_exponent(p, x).values.tobytes() == expected.tobytes()
-        kept_x, kept = p.__dict__["_last_powers"]
+        kept_x, kept = p.__dict__["_last_fitted"]
         assert kept_x == x and not kept.flags.writeable
+        assert kept.tobytes() == expected.tobytes()
 
 
 @st.composite
@@ -249,12 +250,33 @@ def test_terms_of_distinct_values_match_one_term_per_value(v, x) -> None:
     if s_one > 0.0:
         e = np.exp(x * lp - math.log(s_one))
         assert near(fitcore._log_slope(p, x, s_one), float(e.dot(lp) / e.sum()))
-    # The kept powers, gathered, and the fitted values, at x and at inf.
+    # The kept fitted values, their mean and the fitted Profile, at x and at inf.
     for y in (x, math.inf):
-        assert _bits(mean_power(p, y)) == _bits(float(np.sum(pos**y) / v.size))
-        _, kept = p.__dict__["_last_powers"]
-        assert p._in_input_order(kept).tobytes() == (pos**y).tobytes()
-        assert apply_exponent(p, y).values.tobytes() == np.where(v > 0.0, v**y, 0.0).tobytes()
+        expected = np.where(v > 0.0, v**y, 0.0)
+        assert _bits(mean_power(p, y)) == _bits(float(np.sum(expected) / v.size))
+        _, kept = p.__dict__["_last_fitted"]
+        assert kept.tobytes() == expected.tobytes()
+        assert apply_exponent(p, y).values.tobytes() == expected.tobytes()
+
+
+@settings(deadline=None)
+@given(
+    repeated_or_distinct_values(),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+)
+# A sum that skipped the zeros grouped its terms otherwise, and was off by an ulp.
+@example(np.array([0.0, 0.25, 0.0, 0.25, 0.25, 0.25, 0.25, 1.0, 0.0]), 0.54)
+@example(np.array([0.78, 0.0, 0.0, 0.14, 0.79, 0.68, 0.42, 0.0, 0.17]), 0.46)
+def test_achieved_mean_is_the_fitted_profiles_mean(v, mu) -> None:
+    # The mean a fit reports is that of the values it fits to, bit for bit,
+    # on either side of _DISTINCT_SHARE and for every status.
+    p = Profile(v)
+    try:
+        out = find_solution(p, mu)
+    except ProfileFitError:
+        return
+    fitted = apply_exponent(p, out.exponent)
+    assert _bits(out.achieved_mean) == _bits(profile_stats(fitted).mean)
 
 
 @given(
@@ -269,10 +291,11 @@ def test_cached_arrays_match_the_uncached_references(values, x, mu) -> None:
     assert profile_stats(p) == ProfileStats(
         m=v.size, r=pos.size, n=int(np.count_nonzero(v == 1.0)), mean=float(v.sum() / v.size)
     )
-    assert mean_power(p, x) == float(np.sum(pos ** x) / v.size)
+    expected = np.where(v > 0.0, v ** x, 0.0)
+    assert mean_power(p, x) == float(np.sum(expected) / v.size)
     # Bit for bit, -0.0 included: the rule the benchmark's checker applies.
     fitted = apply_exponent(p, x)
-    assert fitted.values.tobytes() == np.where(v > 0.0, v ** x, 0.0).tobytes()
+    assert fitted.values.tobytes() == expected.tobytes()
     # A refit, after a fit of another Profile, matches a fit from scratch:
     # the cached arrays neither go stale nor leak between Profiles.
     first = find_solution(p, mu)

@@ -32,9 +32,13 @@ last bits; they only steer the step. A root is accepted by
 for each positive value p and 0 for each zero, so the S(x) a fit reports is
 the mean of the profile it fits to, bit for bit. The Profile keeps the
 fitted values of the last exponent that :func:`mean_power` or
-:func:`apply_exponent` took, built by one pow per base and one take per
-value, so :func:`apply_exponent` at the exponent a fit returned returns the
-values of the fit's last S(x), and a fit plus its application builds them once.
+:func:`apply_exponent` took, built by one pow per base into an image of k + 2
+values (the k bases' pows between two zeros) and one gather of it per value,
+so :func:`apply_exponent` at the exponent a fit returned returns the values
+of the fit's last S(x), and a fit plus its application builds them once.
+Only that gather and :func:`mean_power`'s sum read all m fitted values: at an
+exponent x >= 0 their [0, 1] range is checked on the image when it is built,
+and :func:`apply_exponent` wraps them in a Profile without a second check.
 """
 
 from __future__ import annotations
@@ -133,7 +137,7 @@ class MaxIterationsExceededError(ProfileFitError):
 # this many distinct positive values per positive value; otherwise every
 # positive value. Either way a Newton step takes one exp per base and
 # gathers nothing, and the fitted values of mean_power and apply_exponent
-# are one pow per base and one take per value; the share decides only how
+# are one pow per base and one gather per value; the share decides only how
 # many bases there are, the weights of a step's terms and the memory kept.
 # With numpy 2.4 and 8760 values on a shared 2-vCPU AVX-512 Xeon, a fit
 # plus apply_exponent per target on the distinct side took, against the
@@ -144,6 +148,28 @@ class MaxIterationsExceededError(ProfileFitError):
 # every full-precision fit's steps depend on it, until a benchmark of
 # full-precision profiles decides whether the per-value side pays.
 _DISTINCT_SHARE = 1 / 3
+
+
+# The bits of 1.0. Read as uint64, the floats in [+0.0, 1.0] are exactly the
+# bit patterns up to it; -0.0, negatives and NaN set higher bits. A uint64
+# constant, since numpy 1.x compares a uint64 array's max with a Python int
+# as float64, which rounds the bits of the next float above 1 to these.
+_ONE_BITS = np.float64(1.0).view(np.uint64)
+
+
+def _check_unit_range(values: np.ndarray) -> None:
+    """Raise for the first value outside [0, 1], in input order, if any:
+    :class:`NonFiniteValueError` if it is NaN or infinite, else
+    :class:`ValueOutOfRangeError`."""
+    # min and max are NaN if a value is, and so fail; -0.0 >= 0.0 holds.
+    if values.min() >= 0.0 and values.max() <= 1.0:
+        return
+    ok = (values >= 0.0) & (values <= 1.0)  # False for NaN and +-inf too
+    idx = int(np.argmin(ok))
+    value = float(values[idx])
+    if not math.isfinite(value):
+        raise NonFiniteValueError(idx)
+    raise ValueOutOfRangeError(idx, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +187,10 @@ class Profile:
     ValueError, and an empty one with :class:`EmptyProfileError`. Then the
     first value outside [0, 1], in input order, raises
     :class:`NonFiniteValueError` if it is NaN or infinite, else
-    :class:`ValueOutOfRangeError`.
+    :class:`ValueOutOfRangeError`. The Profile that :func:`apply_exponent`
+    returns is the one exception: its values, the fitted values of its
+    source, had their range checked on the image of the source's bases
+    when they were built (see :meth:`_fitted`), so it skips these checks.
 
     The fit's derived data are built on first use and kept, read-only, for
     the Profile's lifetime; they are not fields. One is the value table
@@ -194,15 +223,17 @@ class Profile:
             raise ValueError(f"expected a 1-D sequence of values, got shape {self.values.shape}")
         if self.values.size == 0:
             raise EmptyProfileError()
-        # min and max are NaN if a value is, and so fail; -0.0 >= 0.0 holds.
-        if not (self.values.min() >= 0.0 and self.values.max() <= 1.0):
-            ok = (self.values >= 0.0) & (self.values <= 1.0)  # False for NaN and +-inf too
-            idx = int(np.argmin(ok))
-            value = float(self.values[idx])
-            if not math.isfinite(value):
-                raise NonFiniteValueError(idx)
-            raise ValueOutOfRangeError(idx, value)
+        _check_unit_range(self.values)
         self.values.setflags(write=False)
+
+    @classmethod
+    def _of_fitted(cls, fitted: np.ndarray) -> Profile:
+        """A Profile of the values :meth:`_fitted` returned at an exponent
+        x >= 0, with no check: they are a read-only, non-empty, 1-D float64
+        array, and :meth:`_fitted` has checked the [0, 1] range on its image."""
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "values", fitted)
+        return profile
 
     def __len__(self) -> int:
         return self.values.size
@@ -310,17 +341,25 @@ class Profile:
     def _fitted(self, x: float) -> np.ndarray:
         """The fitted values at a float ``x``, ``p ** x`` for each positive
         value p and 0 for each zero, in input order: one pow per base of
-        S(x) into the image of :attr:`_bases`, then one take through its
-        index. Kept, read-only, until a call at another exponent replaces
-        them. The key and the array are stored as one tuple, so a thread
-        reads a matching pair or computes its own."""
+        S(x) into the image of :attr:`_bases`, then one gather through its
+        index. For x >= 0 they must lie in [0, 1]. Each fitted value is an
+        element of the image, and each pow in the image is a fitted value,
+        so that is checked on the image's k + 2 values, by their bits, not
+        on the m fitted ones. Only where that bit check fails (as -0.0 would,
+        which no pow gives) are the fitted values checked as a Profile's
+        are, which raises for the first one outside [0, 1] in input order.
+        Kept, read-only, until a call at another exponent replaces them. The
+        key and the array are stored as one tuple, so a thread reads a
+        matching pair or computes its own."""
         kept = self.__dict__.get("_last_fitted")
         if kept is not None and kept[0] == x:
             return kept[1]
         bases, _, index = self._bases
         image = np.zeros(bases.size + 2)
         np.power(bases, x, out=image[1:-1])
-        fitted = image.take(index)
+        fitted = image[index]
+        if x >= 0.0 and image.view(np.uint64).max() > _ONE_BITS:
+            _check_unit_range(fitted)
         fitted.setflags(write=False)
         self.__dict__["_last_fitted"] = (x, fitted)
         return fitted
@@ -350,6 +389,9 @@ class FitOptions:
             raise ValueError(f"residual_tol must be a real number, got {tol!r}")
         if not (math.isfinite(tol) and tol > 0.0):
             raise ValueError(f"residual_tol must be positive and finite, got {tol!r}")
+
+
+_DEFAULT_OPTIONS = FitOptions()
 
 
 class FitStatus(enum.Enum):
@@ -399,7 +441,10 @@ def mean_power(p: Profile, x: float) -> float:
     which is the correct limit. ``x`` is taken as ``float(x)``. The sum runs
     over the values :func:`apply_exponent` gives at ``x``, zeros included,
     in input order, so it is their mean bit for bit; they are kept on ``p``
-    for :func:`apply_exponent` at the same exponent.
+    for :func:`apply_exponent` at the same exponent. At ``x >= 0`` their
+    [0, 1] range is checked on the k + 2 values they are gathered from, and
+    one outside it raises as in :class:`Profile`; a negative ``x``, whose
+    values exceed 1, is not checked.
     """
     return float(p._fitted(float(x)).sum() / p.values.size)
 
@@ -445,7 +490,8 @@ def _mean_and_slope(p: Profile, x: float) -> tuple[float, float]:
     """S(x) and S'(x) of a Newton step, from one ``e = exp(x * log p)`` over
     the bases p of S(x): the dots of ``e`` with each base's count and with
     count times log, over m. Their last bits may differ from :func:`mean_power`'s."""
-    e = np.exp(x * p._log_bases)
+    e = x * p._log_bases
+    np.exp(e, out=e)
     w, wl = p._weights
     m = p.values.size
     return float(e.dot(w) / m), float(e.dot(wl) / m)
@@ -458,7 +504,8 @@ def _log_slope(p: Profile, x: float, s: float) -> float:
     subnormal of a few bits or underflows to 0, but this keeps full
     precision. It is 0 where S is flat.
     """
-    e = np.exp(x * p._log_bases - math.log(s))
+    e = x * p._log_bases - math.log(s)
+    np.exp(e, out=e)
     w, wl = p._weights
     return float(e.dot(wl) / e.dot(w))
 
@@ -500,7 +547,7 @@ def bisect_root(
     raises :class:`MaxIterationsExceededError` after 200 steps.
     """
     if opts is None:
-        opts = FitOptions()
+        opts = _DEFAULT_OPTIONS
     if not a <= b:  # also catches nan
         raise ValueError(f"invalid bracket [{a!r}, {b!r}]: need a <= b")
     if not mu > 0.0:  # also catches nan; log S has no root at mu <= 0
@@ -587,13 +634,17 @@ def apply_exponent(p, x: float) -> Profile:
     a value that is not a real number, and a negative or NaN exponent raise
     ValueError. The result holds the read-only values that the last
     :func:`mean_power` at the same exponent summed, when it was the last
-    exponent ``p`` took.
+    exponent ``p`` took. Their [0, 1] range was checked, once, on the image
+    they are gathered from (one pow per base of S(x) between two zeros), so
+    the result is built without the scan of all m values that
+    :class:`Profile` makes; a value outside [0, 1] still raises as there.
     """
     if not isinstance(p, Profile):
         p = validate_profile(p)
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        raise ValueError(f"exponent must be a real number, got {x!r}")
-    x = float(x)
+    if type(x) is not float:
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise ValueError(f"exponent must be a real number, got {x!r}")
+        x = float(x)
     if not x >= 0.0:  # also catches nan
         raise ValueError(f"exponent must be nonnegative, got {x!r}")
-    return Profile(p._fitted(x))
+    return Profile._of_fitted(p._fitted(x))

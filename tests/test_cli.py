@@ -434,6 +434,34 @@ def test_readme_flag_table_lists_every_option() -> None:
     assert set(listed) == parsed - {"-h", "--help"}
 
 
+def test_readme_python_examples_run(tmp_path, monkeypatch, capsys) -> None:
+    # The README's two Python examples, as written, on the inputs they name.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = readme.split("```python\n")[1:]
+    api, batch = [block.split("```", 1)[0] for block in blocks]
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(4)
+    np.savetxt("values.txt", np.round(rng.uniform(0.0, 1.0, 240), 3))
+    (tmp_path / "data").mkdir()
+    for name in ("a", "b"):
+        rows = "".join(f"t{i};{v:.3f}\n" for i, v in enumerate(rng.uniform(0.0, 1.0, 48)))
+        (tmp_path / "data" / f"{name}.csv").write_text("m1\nm2\nm3\ntime;electricity\n" + rows)
+
+    exec(compile(api, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("FitStatus.EXACT ")
+    original, fitted = np.loadtxt("values_fitted.csv", delimiter=",", skiprows=1, unpack=True)
+    np.testing.assert_array_equal(original, np.loadtxt("values.txt"))
+    assert fitted.mean() == pytest.approx(0.6, abs=1e-9)
+
+    namespace = {}
+    exec(compile(batch, "README.md", "exec"), namespace)
+    assert namespace["exit_code"] == 0
+    assert capsys.readouterr().out.count("exact") == 2
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "a_fitted.csv", "a_report.json", "b_fitted.csv", "b_report.json"
+    ]
+
+
 def test_version_flag(capsys) -> None:
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])

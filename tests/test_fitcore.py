@@ -531,6 +531,81 @@ def test_a_fit_and_its_apply_build_the_fitted_values_once(monkeypatch, decimals)
         assert out.achieved_mean == profile_stats(applied).mean
 
 
+@pytest.mark.parametrize("decimals", [2, None], ids=["2_decimals", "full_precision"])
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        # numpy 1.x compares a uint64 max with a Python int as float64, which
+        # rounds these bits down to those of 1.0: the check would pass it.
+        (math.nextafter(1.0, 2.0), ValueOutOfRangeError),
+        (math.nan, NonFiniteValueError),
+        (-0.25, ValueOutOfRangeError),
+        (-0.0, None),  # fails the image's bit check, but lies in [0, 1]
+    ],
+    ids=["next_above_one", "nan", "negative", "negative_zero"],
+)
+def test_apply_exponent_refuses_a_pow_outside_the_unit_range(monkeypatch, decimals, bad, error) -> None:
+    # apply_exponent checks the range of its values on the image of the
+    # bases, not on all m values; a pow that strays must still be refused,
+    # at the first value, in input order, that it lands on.
+    rng = np.random.default_rng(5)
+    v = np.where(rng.random(2000) < 0.3, 0.0, rng.beta(2.0, 3.0, 2000))
+    p = validate_profile(v if decimals is None else np.round(v, decimals))
+    bases, _, index = p._bases
+    assert (p._bases[1] is None) == (decimals is None)
+    slot = bases.size // 2
+    power = np.power
+
+    def stray(b, x, out):
+        power(b, x, out=out)
+        out[slot] = bad
+        return out
+
+    monkeypatch.setattr(fitcore.np, "power", stray)
+    if error is None:
+        got = apply_exponent(p, 1.5).values
+        assert math.copysign(1.0, got[np.flatnonzero(index == slot + 1)[0]]) == -1.0
+        return
+    with pytest.raises(error) as excinfo:
+        apply_exponent(p, 1.5)
+    assert excinfo.value.index == np.flatnonzero(index == slot + 1)[0]
+    assert "_last_fitted" not in vars(p)
+    monkeypatch.setattr(fitcore.np, "power", power)
+    want = np.where(p.values > 0.0, p.values ** 1.5, 0.0)
+    assert apply_exponent(p, 1.5).values.tobytes() == want.tobytes()
+
+
+def test_the_image_check_compares_bits_with_a_uint64() -> None:
+    # A Python int in its place passes the next float above 1 on numpy 1.x.
+    assert type(fitcore._ONE_BITS) is np.uint64
+    assert fitcore._ONE_BITS == np.array([1.0]).view(np.uint64)[0]
+    image = np.array([0.0, 0.5, math.nextafter(1.0, 2.0), 0.0])
+    assert image.view(np.uint64).max() > fitcore._ONE_BITS
+    assert not np.array([0.0, 1.0, 0.0]).view(np.uint64).max() > fitcore._ONE_BITS
+
+
+@pytest.mark.parametrize("distinct", [True, False], ids=["distinct_side", "per_value_side"])
+@pytest.mark.parametrize("x", [0.0, 1.0, 1000.0, math.inf])
+def test_an_applied_profile_holds_the_kept_values_unchecked(distinct, x) -> None:
+    # apply_exponent builds its Profile without the m-value scan of
+    # Profile.__post_init__; it must still hold what that scan would accept.
+    rng = np.random.default_rng(9)
+    inner = rng.random(3000)
+    edges = [0.0, -0.0, 1.0, 5e-324, 2.2e-308, 0.0, -0.0, 1.0]
+    v = np.concatenate([np.round(inner, 2) if distinct else inner, edges])
+    p = validate_profile(rng.permutation(v))
+    assert (p._bases[1] is not None) == distinct
+    applied = apply_exponent(p, x)
+    got = applied.values
+    assert got is p.__dict__["_last_fitted"][1]
+    assert got.dtype == np.float64 and got.ndim == 1 and got.size == v.size
+    assert not got.flags.writeable
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = np.where(p.values > 0.0, p.values ** x, 0.0)
+    assert got.tobytes() == want.tobytes()
+    Profile(got.copy())  # in [0, 1]: the full check takes it
+
+
 @pytest.mark.parametrize(
     "values",
     [[0.0], [-0.0], [0.0, -0.0], [-0.0, 0.0, -0.0, 0.0]],

@@ -18,27 +18,26 @@ rounding ends their progress. Targets outside the reachable band
 :func:`find_solution` records which case applied as a :class:`FitStatus`.
 
 The fit's operations read the profile's value table (one ``np.unique`` of
-its values, which the CSV writers reuse), the mask of positive values, the
-bases of S(x), their logs and weights, the index that places them at the
-values, and the profile's :class:`ProfileStats` from the :class:`Profile`,
-which builds each on first use and keeps it, so a refit of the same profile
-rebuilds none of them. Where few of the positive values are distinct, as in
-a series rounded to 3 decimals, the bases are the distinct positive values,
-else every positive value, and each exp and pow of a fit runs once per base.
-A Newton step weights the term of each base by the count of positive values
-it stands for, so its S and S' may differ from one term per value in their
-last bits; they only steer the step. A root is accepted by
-:func:`mean_power`, which sums the fitted values in input order, ``p ** x``
-for each positive value p and 0 for each zero, so the S(x) a fit reports is
-the mean of the profile it fits to, bit for bit. The Profile keeps the
-fitted values of the last exponent that :func:`mean_power` or
-:func:`apply_exponent` took, built by one pow per base into an image of k + 2
-values (the k bases' pows between two zeros) and one gather of it per value,
-so :func:`apply_exponent` at the exponent a fit returned returns the values
-of the fit's last S(x), and a fit plus its application builds them once.
-Only that gather and :func:`mean_power`'s sum read all m fitted values: at an
-exponent x >= 0 their [0, 1] range is checked on the image when it is built,
-and :func:`apply_exponent` wraps them in a Profile without a second check.
+its values, which the CSV writers reuse), the bases of S(x), which are the
+table's distinct positive values, their logs and counts, and the profile's
+:class:`ProfileStats` from the :class:`Profile`, which builds each on first
+use and keeps it, so a refit of the same profile rebuilds none of them.
+Each exp and pow of a fit runs once per distinct positive value. A Newton
+step weights the term of each base by the count of values it stands for,
+so its S and S' may differ from one term per value in their last bits;
+they only steer the step. A root is accepted by :func:`mean_power`, which
+sums the fitted values in input order, ``p ** x`` for each positive value
+p and 0 for each zero, so the S(x) a fit reports is the mean of the
+profile it fits to, bit for bit. The Profile keeps the fitted values of
+the last exponent that :func:`mean_power` or :func:`apply_exponent` took,
+built by one pow per base into an image with one slot per entry of the
+value table (0 for a zero) and one gather of it through the table's
+inverse, so :func:`apply_exponent` at the exponent a fit returned returns
+the values of the fit's last S(x), and a fit plus its application builds
+them once. Only that gather and :func:`mean_power`'s sum read all m fitted
+values: at an exponent x >= 0 their [0, 1] range is checked on the image
+when it is built, and :func:`apply_exponent` wraps them in a Profile
+without a second check.
 """
 
 from __future__ import annotations
@@ -133,23 +132,6 @@ class MaxIterationsExceededError(ProfileFitError):
 # Domain types
 # ---------------------------------------------------------------------------
 
-# The bases of S(x) are the distinct positive values when there are at most
-# this many distinct positive values per positive value; otherwise every
-# positive value. Either way a Newton step takes one exp per base and
-# gathers nothing, and the fitted values of mean_power and apply_exponent
-# are one pow per base and one gather per value; the share decides only how
-# many bases there are, the weights of a step's terms and the memory kept.
-# With numpy 2.4 and 8760 values on a shared 2-vCPU AVX-512 Xeon, a fit
-# plus apply_exponent per target on the distinct side took, against the
-# per-value side, 0.34-0.86x at 1%, 30% and 50% distinct and 0.93-1.07x at
-# 100% (five runs of 40 targets each, in the band, or across (0, 1) on a
-# profile with zeros and ones). So the distinct side is no slower, beyond
-# noise, at any share measured. The share is kept, since the last bits of
-# every full-precision fit's steps depend on it, until a benchmark of
-# full-precision profiles decides whether the per-value side pays.
-_DISTINCT_SHARE = 1 / 3
-
-
 # The bits of 1.0. Read as uint64, the floats in [+0.0, 1.0] are exactly the
 # bit patterns up to it; -0.0, negatives and NaN set higher bits. A uint64
 # constant, since numpy 1.x compares a uint64 array's max with a Python int
@@ -196,19 +178,16 @@ class Profile:
     the Profile's lifetime; they are not fields. One is the value table
     ``(distinct, inverse, counts)`` of one ``np.unique`` over the values'
     bits, 8 bytes per value plus 16 per distinct value, which the CSV
-    writers of :class:`~profilefit.profile_io.FittedPair` reuse. The others
-    are the mask of positive values (1 byte per value); the bases of S(x),
-    which are the distinct positive values where these repeat (see
-    :data:`_DISTINCT_SHARE`) and else every positive value; their logs,
-    their weights (the count of positive values each base stands for, as
-    float64) and the weights times the logs (none more where every weight
-    is 1), 8 bytes per base each; the index that places one term per base
-    at each value (8 bytes per value, none more where it is the table's
-    inverse); the fitted values ``p ** x`` of the last exponent taken (8
-    bytes per value); the :class:`ProfileStats`; and three numbers for the
-    bracket. That is at most 65 bytes per value, about 570 KB for an annual
-    hourly profile whose values are all positive and distinct, and
-    150-190 KB for one at 3 decimals. Only the kept fitted values change
+    writers of :class:`~profilefit.profile_io.FittedPair` reuse. The bases
+    of S(x) are the table's distinct positive values and their counts, views
+    of it; their logs, their counts as float64 and the counts times the
+    logs take 8 bytes per base each. The fitted values ``p ** x`` of the
+    last exponent taken take 8 bytes per value; the :class:`ProfileStats`
+    and the three numbers of the bracket, none per value. That is at most
+    56 bytes per value, exactly that where all values are positive and
+    distinct (about 490 KB for an annual hourly profile), and at most 21
+    (about 180 KB) for an annual hourly profile at 3 decimals, which has at
+    most 1002 distinct values. Only the kept fitted values change
     after they are built: they are replaced, never written to, by a call at
     another exponent, so threads may share a Profile.
     """
@@ -243,7 +222,9 @@ class Profile:
         """``(distinct, inverse, counts)``: each distinct bit pattern of the
         values once, as float64 in uint64 order (``0.0`` first, then the
         positive values ascending, then ``-0.0``), with ``values ==
-        distinct[inverse]`` bit for bit and each pattern's count."""
+        distinct[inverse]`` bit for bit and each pattern's count. The
+        ``np.unique`` takes about 0.2-0.4 ms for 8760 values, which a Profile
+        that is fitted but never written pays too."""
         keys, inverse, counts = np.unique(
             self.values.view(np.uint64), return_inverse=True, return_counts=True
         )
@@ -253,41 +234,20 @@ class Profile:
         return table
 
     @functools.cached_property
-    def _mask(self) -> np.ndarray:
-        """``values > 0.0``: where the terms of S(x) sit in :attr:`values`."""
-        mask = self.values > 0.0
-        mask.setflags(write=False)
-        return mask
-
-    @functools.cached_property
-    def _bases(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-        """``(bases, counts, index)``: the bases of S(x); the count of
-        positive values each stands for, None where that is 1; and per value
-        the slot of ``image = [0, bases ** x..., 0]`` that holds its fitted
-        value: 1 + its base's position for a positive value, the first or
-        the last slot for a zero. The bases are the distinct positive values
-        and their table counts where those are few enough
-        (:data:`_DISTINCT_SHARE`), else the positive values themselves in
-        input order."""
-        distinct, inverse, counts = self._table
+    def _bases(self) -> tuple[np.ndarray, np.ndarray, slice]:
+        """``(bases, counts, positive)``: the bases of S(x), which are the
+        distinct positive values of :attr:`_table`, ascending; the count of
+        values each stands for, never None; and the slice of the table's
+        entries they fill, all but ``0.0`` and ``-0.0``."""
+        distinct, _, counts = self._table
         keys = distinct.view(np.uint64)
         # 0.0 (key 0) sorts first and -0.0 (the sign bit alone) last, so the
         # positive keys are contiguous. The end keys are read as Python ints:
         # numpy 1.x promotes a uint64 scalar and a Python int to float64,
         # which has no shift.
         lo, hi = int(keys[0]), int(keys[-1])
-        first = int(lo == 0)
-        positive = slice(first, keys.size - (hi >> 63))
-        bases, counts = distinct[positive], counts[positive]
-        if bases.size > _DISTINCT_SHARE * counts.sum():
-            bases, counts = self.values[self._mask], None
-            index = np.zeros(self.values.size, dtype=np.intp)
-            index[self._mask] = np.arange(1, bases.size + 1)
-        else:  # 0.0 takes the first slot and -0.0 the last, with no mask
-            index = inverse if first else inverse + 1
-        bases.setflags(write=False)
-        index.setflags(write=False)
-        return bases, counts, index
+        positive = slice(int(lo == 0), keys.size - (hi >> 63))
+        return distinct[positive], counts[positive], positive
 
     @functools.cached_property
     def _log_bases(self) -> np.ndarray:
@@ -298,17 +258,12 @@ class Profile:
 
     @functools.cached_property
     def _weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """The count of positive values each base of S(x) stands for, as
-        float64 (its table count on the distinct side, else 1), and that
-        count times the base's log: the weights of a Newton step's S and S'."""
-        bases, counts, _ = self._bases
-        if counts is None:
-            w, wl = np.ones(bases.size), self._log_bases  # 1 * log b is log b
-        else:
-            w = counts.astype(np.float64)
-            wl = w * self._log_bases
-            wl.setflags(write=False)
+        """The count of values each base of S(x) stands for, as float64, and
+        that count times the base's log: the weights of a Newton step's S and S'."""
+        w = self._bases[1].astype(np.float64)
+        wl = w * self._log_bases
         w.setflags(write=False)
+        wl.setflags(write=False)
         return w, wl
 
     @functools.cached_property
@@ -316,14 +271,10 @@ class Profile:
         """k, the count of values in (0, 1), and the mean and the largest of
         their logs (NaN when k is 0): the data of :func:`find_search_interval`.
         The mean runs over the logs in input order, which are not kept."""
-        _, counts, index = self._bases
-        # The per-value side's logs are already those of the positive values
-        # in input order, which spares a select over all m values with the
-        # zeros strewn among them (about 60 us for 8760 values).
-        if counts is None:
-            lp = self._log_bases
-        else:  # one log per value, 0 for a zero
-            lp = np.concatenate(([0.0], self._log_bases, [0.0])).take(index)
+        distinct, inverse, _ = self._table
+        lp = np.zeros(distinct.size)  # one log per table entry, 0 for a zero
+        lp[self._bases[2]] = self._log_bases
+        lp = lp.take(inverse)
         inner = lp[lp < 0.0]  # each 1 has log 0
         if inner.size == 0:
             return (0, math.nan, math.nan)
@@ -331,33 +282,37 @@ class Profile:
 
     @functools.cached_property
     def _stats(self) -> ProfileStats:
-        """The counts and the mean that :func:`profile_stats` returns."""
-        v = self.values
-        m = int(v.size)
-        r = int(np.count_nonzero(self._mask))
-        n = int(np.count_nonzero(v == 1.0))
-        return ProfileStats(m=m, r=r, n=n, mean=float(v.sum() / m))
+        """The counts and the mean that :func:`profile_stats` returns: r is
+        the sum of the bases' counts, and n the count of the largest base
+        where that is 1."""
+        bases, counts, _ = self._bases
+        m = int(self.values.size)
+        r = int(counts.sum())
+        n = int(counts[-1]) if bases.size and bases[-1] == 1.0 else 0
+        return ProfileStats(m=m, r=r, n=n, mean=float(self.values.sum() / m))
 
     def _fitted(self, x: float) -> np.ndarray:
         """The fitted values at a float ``x``, ``p ** x`` for each positive
         value p and 0 for each zero, in input order: one pow per base of
-        S(x) into the image of :attr:`_bases`, then one gather through its
-        index. For x >= 0 they must lie in [0, 1]. Each fitted value is an
-        element of the image, and each pow in the image is a fitted value,
-        so that is checked on the image's k + 2 values, by their bits, not
-        on the m fitted ones. Only where that bit check fails (as -0.0 would,
-        which no pow gives) are the fitted values checked as a Profile's
-        are, which raises for the first one outside [0, 1] in input order.
-        Kept, read-only, until a call at another exponent replaces them. The
-        key and the array are stored as one tuple, so a thread reads a
-        matching pair or computes its own."""
+        S(x) into an image of the value table, 0 at its zeros, then one
+        gather of it through the table's inverse. For x >= 0 they must lie
+        in [0, 1]. Each fitted value is an element of the image, and each
+        pow in the image is a fitted value, so that is checked on the
+        image's values, one per distinct value, by their bits, not on the m
+        fitted ones. Only where that bit check fails (as -0.0 would, which
+        no pow gives) are the fitted values checked as a Profile's are,
+        which raises for the first one outside [0, 1] in input order. Kept,
+        read-only, until a call at another exponent replaces them. The key
+        and the array are stored as one tuple, so a thread reads a matching
+        pair or computes its own."""
         kept = self.__dict__.get("_last_fitted")
         if kept is not None and kept[0] == x:
             return kept[1]
-        bases, _, index = self._bases
-        image = np.zeros(bases.size + 2)
-        np.power(bases, x, out=image[1:-1])
-        fitted = image[index]
+        distinct, inverse, _ = self._table
+        bases, _, positive = self._bases
+        image = np.zeros(distinct.size)
+        np.power(bases, x, out=image[positive])
+        fitted = image[inverse]
         if x >= 0.0 and image.view(np.uint64).max() > _ONE_BITS:
             _check_unit_range(fitted)
         fitted.setflags(write=False)
@@ -429,7 +384,8 @@ def validate_profile(values) -> Profile:
 
 def profile_stats(p: Profile) -> ProfileStats:
     """Count total, nonzero and exactly-one values, and the current mean,
-    once per Profile, which keeps them."""
+    once per Profile, which keeps them. The counts come from the Profile's
+    value table, which a fit needs too, so a first call builds it."""
     return p._stats
 
 
@@ -442,9 +398,9 @@ def mean_power(p: Profile, x: float) -> float:
     over the values :func:`apply_exponent` gives at ``x``, zeros included,
     in input order, so it is their mean bit for bit; they are kept on ``p``
     for :func:`apply_exponent` at the same exponent. At ``x >= 0`` their
-    [0, 1] range is checked on the k + 2 values they are gathered from, and
-    one outside it raises as in :class:`Profile`; a negative ``x``, whose
-    values exceed 1, is not checked.
+    [0, 1] range is checked on the values they are gathered from, one per
+    distinct value, and one outside it raises as in :class:`Profile`; a
+    negative ``x``, whose values exceed 1, is not checked.
     """
     return float(p._fitted(float(x)).sum() / p.values.size)
 
@@ -635,7 +591,7 @@ def apply_exponent(p, x: float) -> Profile:
     ValueError. The result holds the read-only values that the last
     :func:`mean_power` at the same exponent summed, when it was the last
     exponent ``p`` took. Their [0, 1] range was checked, once, on the image
-    they are gathered from (one pow per base of S(x) between two zeros), so
+    they are gathered from (one pow per base of S(x), and 0 for a zero), so
     the result is built without the scan of all m values that
     :class:`Profile` makes; a value outside [0, 1] still raises as there.
     """

@@ -413,7 +413,8 @@ def write_plot_data(path_prefix, pair: FittedPair) -> None:
 
 @functools.lru_cache(maxsize=1)
 def _index_text(n: int) -> tuple[str, ...]:
-    """The plot CSVs' 1-based index column, ``"1"`` to ``str(n)``."""
+    """The plot CSVs' 1-based index column, ``"1"`` to ``str(n)``: about
+    530 KB for 8760 rows, kept for the last length written."""
     return tuple(map(str, range(1, n + 1)))
 
 

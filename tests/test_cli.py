@@ -2,6 +2,7 @@ import importlib
 import json
 import math
 import os
+import shlex
 import sys
 import threading
 import time
@@ -460,6 +461,39 @@ def test_readme_python_examples_run(tmp_path, monkeypatch, capsys) -> None:
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
         "a_fitted.csv", "a_report.json", "b_fitted.csv", "b_report.json"
     ]
+
+
+def test_readme_shell_example_runs(tmp_path, monkeypatch, capsys) -> None:
+    # The README's command line example, as written, on a ninja-style annual
+    # file: it writes the four outputs the README lists.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [block.split("```", 1)[0] for block in readme.split("```sh\n")[1:]]
+    (command,) = [b.strip() for b in blocks if b.startswith("profilefit -i")]
+    program, *argv = shlex.split(command)
+    assert program == "profilefit"
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(6)
+    values = np.where(rng.random(8760) < 0.1, 0.0, rng.uniform(0.0, 1.0, 8760))
+    hours = np.datetime64("2019-01-01T00:00") + np.arange(8760).astype("timedelta64[h]")
+    times = [t.replace("T", " ") for t in np.datetime_as_string(hours, unit="m").tolist()]
+    lines = [
+        "# Renewables.ninja Wind Power Output (synthetic)",
+        "# Units: time in UTC, local_time in local time, electricity in per unit",
+        "# Values at 3 decimals",
+        "time,local_time,electricity",
+    ] + [f"{t},{t},{v:.3f}" for t, v in zip(times, values)]
+    Path("wind_2019.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    assert main(argv) == EXIT_OK
+    assert "exact" in capsys.readouterr().out
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "wind_2019_chronological.csv",
+        "wind_2019_fitted.csv",
+        "wind_2019_report.json",
+        "wind_2019_sorted.csv",
+    ]
+    report = json.loads((tmp_path / "out" / "wind_2019_report.json").read_text())
+    assert report["status"] == "exact" and report["target_cf"] == 0.6
 
 
 def test_version_flag(capsys) -> None:

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import re
 import sys
 import threading
 import weakref
@@ -152,14 +153,14 @@ def test_profile_holds_float64_only(values) -> None:
 
 
 def test_profile_fields_are_just_values() -> None:
-    # The value table, the mask, the bases of S(x), their logs and weights,
-    # the stats and the last fitted values are cached on first use, not
-    # fields: Profile stays frozen and compares by identity (its dtype check
-    # is test_profile_holds_float64_only's). A fit caches nothing else.
+    # The value table, the bases of S(x), their logs and weights, the stats
+    # and the last fitted values are cached on first use, not fields:
+    # Profile stays frozen and compares by identity (its dtype check is
+    # test_profile_holds_float64_only's). A fit caches nothing else.
     p = validate_profile([0.0, 0.5, 1.0])
     fitted = apply_exponent(p, find_solution(p, 0.4).exponent)
     fit_caches = {
-        "values", "_table", "_mask", "_bases", "_log_bases", "_weights", "_inner_logs",
+        "values", "_table", "_bases", "_log_bases", "_weights", "_inner_logs",
         "_stats", "_last_fitted",
     }
     assert set(vars(p)) <= fit_caches and set(vars(fitted)) <= fit_caches
@@ -167,10 +168,48 @@ def test_profile_fields_are_just_values() -> None:
     assert p == p and p != validate_profile([0.0, 0.5, 1.0])
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.values = np.zeros(3)
-    assert not p._mask.flags.writeable
-    assert not p._bases[0].flags.writeable and not p._bases[2].flags.writeable
+    assert not p._bases[0].flags.writeable and not p._bases[1].flags.writeable
     assert not any(a.flags.writeable for a in p._weights)
     assert p._inner_logs == (1, math.log(0.5), math.log(0.5))
+
+
+def _cached_bytes(p: Profile) -> int:
+    """The bytes of the arrays cached on ``p``, each buffer once: the bases
+    of S(x) and their counts are views of the value table."""
+    buffers = {}
+    items = [item for name, item in vars(p).items() if name != "values"]
+    while items:
+        item = items.pop()
+        if isinstance(item, tuple):
+            items.extend(item)
+        elif isinstance(item, np.ndarray):
+            while isinstance(item.base, np.ndarray):
+                item = item.base
+            buffers[id(item)] = item.nbytes
+    return sum(buffers.values())
+
+
+@pytest.mark.parametrize("decimals", [3, None], ids=["3_decimals", "full_precision"])
+def test_a_fit_and_its_apply_cache_at_most_the_stated_bytes_per_value(decimals) -> None:
+    # The Profile docstring states the bound; all positive and distinct is
+    # its worst case. The value table (8 bytes per value, 16 per distinct
+    # value), three arrays per base of S(x) and the fitted values.
+    stated = re.search(r"at most\s+(\d+)\s+bytes per value", Profile.__doc__)
+    bound = int(stated.group(1))
+    rng = np.random.default_rng(17)
+    if decimals is None:
+        v = rng.uniform(1e-6, 1.0, 8760)
+    else:
+        v = np.where(rng.random(8760) < 0.3, 0.0, np.round(rng.beta(2.0, 3.0, 8760), decimals))
+    p = validate_profile(v)
+    apply_exponent(p, find_solution(p, 0.2).exponent)
+    m, d, k = v.size, p._table[0].size, p._bases[0].size
+    assert _cached_bytes(p) == 8 * m + 16 * d + 24 * k + 8 * m
+    if decimals is None:
+        assert d == k == m and _cached_bytes(p) == bound * m
+    else:
+        assert d == k + 1 and _cached_bytes(p) <= 21 * m  # the docstring's figure
+    assert _cached_bytes(p) <= bound * m
 
 
 def test_a_fitted_profile_keeps_no_reference_to_its_source() -> None:
@@ -496,7 +535,6 @@ def test_newton_steps_gather_nothing_to_input_order(monkeypatch, decimals) -> No
     rng = np.random.default_rng(7)
     v = np.where(rng.random(8760) < 0.4, 0.0, rng.beta(2.0, 3.0, 8760))
     p = validate_profile(v if decimals is None else np.round(v, decimals))
-    assert (p._bases[1] is None) == (decimals is None)
     find_solution(p, 0.2)  # builds the Profile's caches, which gather once
     gathers = []
     fitted = Profile._fitted
@@ -551,9 +589,9 @@ def test_apply_exponent_refuses_a_pow_outside_the_unit_range(monkeypatch, decima
     rng = np.random.default_rng(5)
     v = np.where(rng.random(2000) < 0.3, 0.0, rng.beta(2.0, 3.0, 2000))
     p = validate_profile(v if decimals is None else np.round(v, decimals))
-    bases, _, index = p._bases
-    assert (p._bases[1] is None) == (decimals is None)
+    bases, _, positive = p._bases
     slot = bases.size // 2
+    first = np.flatnonzero(p._table[1] == positive.start + slot)[0]
     power = np.power
 
     def stray(b, x, out):
@@ -564,11 +602,11 @@ def test_apply_exponent_refuses_a_pow_outside_the_unit_range(monkeypatch, decima
     monkeypatch.setattr(fitcore.np, "power", stray)
     if error is None:
         got = apply_exponent(p, 1.5).values
-        assert math.copysign(1.0, got[np.flatnonzero(index == slot + 1)[0]]) == -1.0
+        assert math.copysign(1.0, got[first]) == -1.0
         return
     with pytest.raises(error) as excinfo:
         apply_exponent(p, 1.5)
-    assert excinfo.value.index == np.flatnonzero(index == slot + 1)[0]
+    assert excinfo.value.index == first
     assert "_last_fitted" not in vars(p)
     monkeypatch.setattr(fitcore.np, "power", power)
     want = np.where(p.values > 0.0, p.values ** 1.5, 0.0)
@@ -584,17 +622,16 @@ def test_the_image_check_compares_bits_with_a_uint64() -> None:
     assert not np.array([0.0, 1.0, 0.0]).view(np.uint64).max() > fitcore._ONE_BITS
 
 
-@pytest.mark.parametrize("distinct", [True, False], ids=["distinct_side", "per_value_side"])
+@pytest.mark.parametrize("decimals", [2, None], ids=["2_decimals", "full_precision"])
 @pytest.mark.parametrize("x", [0.0, 1.0, 1000.0, math.inf])
-def test_an_applied_profile_holds_the_kept_values_unchecked(distinct, x) -> None:
+def test_an_applied_profile_holds_the_kept_values_unchecked(decimals, x) -> None:
     # apply_exponent builds its Profile without the m-value scan of
     # Profile.__post_init__; it must still hold what that scan would accept.
     rng = np.random.default_rng(9)
     inner = rng.random(3000)
     edges = [0.0, -0.0, 1.0, 5e-324, 2.2e-308, 0.0, -0.0, 1.0]
-    v = np.concatenate([np.round(inner, 2) if distinct else inner, edges])
+    v = np.concatenate([inner if decimals is None else np.round(inner, decimals), edges])
     p = validate_profile(rng.permutation(v))
-    assert (p._bases[1] is not None) == distinct
     applied = apply_exponent(p, x)
     got = applied.values
     assert got is p.__dict__["_last_fitted"][1]
@@ -612,8 +649,8 @@ def test_an_applied_profile_holds_the_kept_values_unchecked(distinct, x) -> None
     ids=["zero", "negative_zero", "both", "both_repeated"],
 )
 def test_a_profile_with_no_positive_value_fits_to_zeros(values) -> None:
-    # The index of a value table with no positive key: 0.0 takes the image's
-    # first slot and -0.0 its last, which is slot 1, not 2.
+    # A value table with no positive key: the image holds no pow, only a
+    # zero for each of 0.0 and -0.0 that the profile holds.
     p = validate_profile(values)
     for x in (0.0, 0.5, 1000.0, math.inf):
         assert mean_power(p, x) == 0.0
@@ -629,7 +666,6 @@ def test_very_uneven_counts_fit_in_few_steps() -> None:
     rng = np.random.default_rng(3)
     others = [0.0, 0.001, 0.05, 0.6, 0.9, 0.999, 1.0]
     p = validate_profile(rng.permutation(np.concatenate([np.full(8000, 0.3), others])))
-    assert p._bases[1] is not None
     s = profile_stats(p)
     asymptote, reachable = s.n / s.m, s.r / s.m
     # From 1% of the band above the asymptote up; nearer to it, where S is

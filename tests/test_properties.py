@@ -218,15 +218,10 @@ def test_terms_of_distinct_values_match_one_term_per_value(v, x) -> None:
     p = Profile(v)
     pos = v[v > 0.0]
     keys, counts = np.unique(pos.view(np.uint64), return_counts=True)
-    per_distinct = keys.size <= fitcore._DISTINCT_SHARE * pos.size
-    assert (p._bases[1] is not None) == per_distinct
-    # A Newton step's S, S' and S'/S: one exp per base of S(x), each term
-    # weighted by the count of positive values it stands for, bit for bit.
-    if per_distinct:
-        bases, w = keys.view(np.float64), counts.astype(np.float64)
-    else:
-        bases, w = pos, np.ones(pos.size)
-    lb = np.log(bases)
+    # A Newton step's S, S' and S'/S: one exp per distinct positive value,
+    # each term weighted by the count of values it stands for, bit for bit.
+    w = counts.astype(np.float64)
+    lb = np.log(keys.view(np.float64))
     wl = w * lb
     e = np.exp(x * lb)
     s = float(e.dot(w) / v.size)
@@ -269,7 +264,7 @@ def test_terms_of_distinct_values_match_one_term_per_value(v, x) -> None:
 @example(np.array([0.78, 0.0, 0.0, 0.14, 0.79, 0.68, 0.42, 0.0, 0.17]), 0.46)
 def test_achieved_mean_is_the_fitted_profiles_mean(v, mu) -> None:
     # The mean a fit reports is that of the values it fits to, bit for bit,
-    # on either side of _DISTINCT_SHARE and for every status.
+    # whether the values repeat or not, and for every status.
     p = Profile(v)
     try:
         out = find_solution(p, mu)
